@@ -13,12 +13,10 @@ from .adversarial import (
 from .bounds import BOUND_IDS, BoundValue, bound_value
 from .core import (
     BufferState,
-    BufferStats,
     Packet,
     SimulationError,
     SimulationResult,
     SlotEvents,
-    buffer_stats,
 )
 from .engine import run
 from .oracle import (
@@ -36,7 +34,6 @@ from .policies import (
     POLICY_IDS,
     Policy,
     UnknownPolicyError,
-    lpo_on_arrival,
     lpo_p_on_arrival,
     lpo_select_processing,
     make_policy,
@@ -44,11 +41,9 @@ from .policies import (
     po_on_arrival,
     po_select_processing,
     push_out,
-    srpt_on_arrival,
     srpt_select_processing,
 )
 from .sweep import (
-    DEFAULT_GRIDS,
     ResultTable,
     SweepAggregate,
     SweepConfig,
@@ -81,12 +76,10 @@ __all__ = [
     "BoundValue",
     "bound_value",
     "BufferState",
-    "BufferStats",
     "Packet",
     "SimulationError",
     "SimulationResult",
     "SlotEvents",
-    "buffer_stats",
     "run",
     "OracleLimitError",
     "OracleResult",
@@ -100,7 +93,6 @@ __all__ = [
     "POLICY_IDS",
     "Policy",
     "UnknownPolicyError",
-    "lpo_on_arrival",
     "lpo_p_on_arrival",
     "lpo_select_processing",
     "make_policy",
@@ -108,10 +100,8 @@ __all__ = [
     "po_on_arrival",
     "po_select_processing",
     "push_out",
-    "srpt_on_arrival",
     "srpt_select_processing",
     "reference_accept_mask",
-    "DEFAULT_GRIDS",
     "ResultTable",
     "SweepAggregate",
     "SweepConfig",

@@ -38,36 +38,6 @@ class BufferState:
     def is_full(self) -> bool:
         return len(self.queue) >= self.capacity
 
-    def find(self, packet_id: int) -> int:
-        for i, p in enumerate(self.queue):
-            if p.id == packet_id:
-                return i
-        raise KeyError(packet_id)
-
-
-@dataclass(frozen=True)
-class BufferStats:
-    """Occupancy, total residual work, max residual work, first-max position."""
-
-    occupancy: int
-    total_residual: int
-    max_residual: int
-    first_max_index: int | None
-
-
-def buffer_stats(state: BufferState) -> BufferStats:
-    """Summarise the queue: occupancy, W (total residual), M (max residual).
-
-    ``first_max_index`` is the 0-based position from the head of the first
-    packet achieving the maximum, or None for an empty buffer.
-    """
-    queue = state.queue
-    if not queue:
-        return BufferStats(0, 0, 0, None)
-    residuals = [p.residual_work for p in queue]
-    max_res = max(residuals)
-    return BufferStats(len(queue), sum(residuals), max_res, residuals.index(max_res))
-
 
 @dataclass
 class SlotEvents:

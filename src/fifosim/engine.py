@@ -7,11 +7,14 @@ zero-residual packets permitted by the policy's gate leave in queue order.
 The engine keeps running drain slots past the last arrival until the buffer
 empties, so throughput counts everything the policy would deliver.
 
-``run`` dispatches to per-policy fast loops (counters only) unless an event
-log or occupancy series was requested; both paths produce identical counts.
+``run`` dispatches to one of two fast loops (counters only) unless an event
+log or occupancy series was requested: an eager loop for npo, po and srpt,
+and a lazy loop for lpo and lpo_p.  Both paths produce identical counts.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
 from .policies import make_policy
@@ -99,7 +102,11 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
                     if slot_ev:
                         slot_ev.admitted.append(pkt.id)
                 elif decision.is_pushout:
-                    victim = queue[state.find(decision.victim_id)]
+                    victim = next((p for p in queue if p.id == decision.victim_id), None)
+                    if victim is None:
+                        raise SimulationError(
+                            f"{pol.name}: push-out of unknown packet {decision.victim_id} at slot {t}"
+                        )
                     if victim.residual_work <= pkt.required_work:
                         # push-out must strictly reduce total residual work
                         raise SimulationError(
@@ -130,7 +137,9 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
                 if pid in seen:
                     raise SimulationError(f"{pol.name}: packet {pid} selected twice")
                 seen.add(pid)
-                pkt = by_id[pid]
+                pkt = by_id.get(pid)
+                if pkt is None:
+                    raise SimulationError(f"{pol.name}: selected unknown packet {pid} at slot {t}")
                 if pkt.residual_work <= 0:
                     raise SimulationError(f"{pol.name}: packet {pid} selected at zero residual")
                 pkt.residual_work -= 1
@@ -181,7 +190,9 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
 # ---------------------------------------------------------------------------
 # Fast loops: counters only, no Packet objects.  The queue is a plain list of
 # residuals (head at index 0); admission order equals list order because
-# arrivals always append at the tail.
+# arrivals always append at the tail.  A comprehension here may take a local
+# as its iterable but never read one inside: that makes the local a closure
+# cell, slower on every access.
 
 
 def _counts(final_slot, transmitted, dropped, pushed, admitted):
@@ -194,11 +205,14 @@ def _counts(final_slot, transmitted, dropped, pushed, admitted):
     }
 
 
-def _fast_npo(slots, works, B, C):
+def _fast_eager(slots, works, B, C, pushout, shortest):
+    # npo, po and srpt: every slot processes min(C, occupancy) packets, the
+    # FIFO prefix or (shortest) the smallest residuals.
     q: list[int] = []
+    single = C == 1
     n = len(slots)
     i = 0
-    admitted = dropped = transmitted = 0
+    admitted = dropped = pushed = transmitted = 0
     t = final = 0
     while True:
         if q:
@@ -211,47 +225,8 @@ def _fast_npo(slots, works, B, C):
             if len(q) < B:
                 q.append(works[i])
                 admitted += 1
-            else:
-                dropped += 1
-            i += 1
-        if q:
-            if C == 1:
-                r = q[0] - 1
-                if r:
-                    q[0] = r
-                else:
-                    del q[0]
-                    transmitted += 1
-            else:
-                j = C if C < len(q) else len(q)
-                head = [q[idx] - 1 for idx in range(j)]
-                kept = [r for r in head if r]
-                transmitted += j - len(kept)
-                q[:j] = kept
-        final = t
-    return _counts(final, transmitted, dropped, 0, admitted)
-
-
-def _fast_po(slots, works, B, C):
-    q: list[int] = []
-    n = len(slots)
-    i = 0
-    admitted = dropped = pushed = transmitted = 0
-    t = final = 0
-    while True:
-        if q:
-            t += 1
-        elif i < n:
-            t = slots[i]
-        else:
-            break
-        while i < n and slots[i] == t:
-            w = works[i]
-            i += 1
-            if len(q) < B:
-                q.append(w)
-                admitted += 1
-            else:
+            elif pushout:
+                w = works[i]
                 mx = max(q)
                 if w < mx:
                     del q[q.index(mx)]
@@ -260,8 +235,28 @@ def _fast_po(slots, works, B, C):
                     pushed += 1
                 else:
                     dropped += 1
+            else:
+                dropped += 1
+            i += 1
         if q:
-            if C == 1:
+            if shortest:
+                if single:
+                    best = min(q)
+                    idx = q.index(best)
+                    if best == 1:
+                        del q[idx]
+                        transmitted += 1
+                    else:
+                        q[idx] = best - 1
+                else:
+                    chosen = sorted(range(len(q)), key=q.__getitem__)[:C]
+                    for idx in chosen:
+                        q[idx] -= 1
+                    for idx in sorted(chosen, reverse=True):
+                        if q[idx] == 0:
+                            del q[idx]
+                            transmitted += 1
+            elif single:
                 r = q[0] - 1
                 if r:
                     q[0] = r
@@ -269,19 +264,21 @@ def _fast_po(slots, works, B, C):
                     del q[0]
                     transmitted += 1
             else:
-                j = C if C < len(q) else len(q)
-                head = [q[idx] - 1 for idx in range(j)]
+                head = [r - 1 for r in q[:C]]
                 kept = [r for r in head if r]
-                transmitted += j - len(kept)
-                q[:j] = kept
+                transmitted += len(head) - len(kept)
+                q[:C] = kept
         final = t
     return _counts(final, transmitted, dropped, pushed, admitted)
 
 
-def _fast_lpo(slots, works, B, C):
-    # marked packets form a prefix of the queue, tracked by count alone;
-    # m > 0 means drain mode.
+def _fast_lazy(slots, works, B, C, spare):
+    # lpo and lpo_p.  Marked packets form a prefix of the queue, tracked by
+    # count alone; m > 0 means drain mode.  sel holds the queue positions
+    # processed in the last fill phase (empty during a drain); with spare set
+    # the victim search skips them.
     q: list[int] = []
+    sel: list[int] = []
     m = 0
     n = len(slots)
     i = 0
@@ -300,27 +297,44 @@ def _fast_lpo(slots, works, B, C):
             if len(q) < B:
                 q.append(w)
                 admitted += 1
+                continue
+            # w >= 1, so a marked packet (residual 1) is never the victim
+            mx = max(q)
+            if w >= mx:
+                dropped += 1
+                continue
+            if spare:
+                v = q.index(mx)
+                if v in sel:
+                    # the first maximum is spared: search a copy with the
+                    # spared residuals zeroed, which no arrival's work undercuts
+                    rest = q.copy()
+                    for x in sel:
+                        rest[x] = 0
+                    mx = max(rest)
+                    v = rest.index(mx)
+                    if w >= mx:
+                        dropped += 1
+                        continue
+                for idx, x in enumerate(sel):
+                    if x > v:
+                        sel[idx] = x - 1
+                del q[v]
             else:
-                mx = max(q)
-                if w < mx:
-                    del q[q.index(mx)]  # residual > 1, so never a marked packet
-                    q.append(w)
-                    admitted += 1
-                    pushed += 1
-                else:
-                    dropped += 1
+                del q[q.index(mx)]
+            q.append(w)
+            admitted += 1
+            pushed += 1
         if q:
             if m == 0:
                 sel = []
                 for idx in range(len(q)):
                     if q[idx] > 1:
+                        q[idx] -= 1
                         sel.append(idx)
                         if len(sel) == C:
                             break
-                if sel:
-                    for idx in sel:
-                        q[idx] -= 1
-                else:
+                if not sel:
                     m = len(q)  # everything at one cycle: mark all, drain
             if m > 0:
                 j = C if C < m else m
@@ -331,131 +345,10 @@ def _fast_lpo(slots, works, B, C):
     return _counts(final, transmitted, dropped, pushed, admitted)
 
 
-def _fast_lpo_p(slots, works, B, C):
-    # like _fast_lpo plus a parallel "selected last processing phase" flag
-    # used to exclude in-process packets from eviction.
-    q: list[int] = []
-    ip: list[bool] = []
-    m = 0
-    n = len(slots)
-    i = 0
-    admitted = dropped = pushed = transmitted = 0
-    t = final = 0
-    while True:
-        if q:
-            t += 1
-        elif i < n:
-            t = slots[i]
-        else:
-            break
-        while i < n and slots[i] == t:
-            w = works[i]
-            i += 1
-            if len(q) < B:
-                q.append(w)
-                ip.append(False)
-                admitted += 1
-            else:
-                best = 0
-                bidx = -1
-                for idx in range(len(q)):
-                    if not ip[idx] and q[idx] > best:
-                        best = q[idx]
-                        bidx = idx
-                if bidx >= 0 and w < best:
-                    del q[bidx]
-                    del ip[bidx]
-                    q.append(w)
-                    ip.append(False)
-                    admitted += 1
-                    pushed += 1
-                else:
-                    dropped += 1
-        if q:
-            if m == 0:
-                sel = []
-                for idx in range(len(q)):
-                    if q[idx] > 1:
-                        sel.append(idx)
-                        if len(sel) == C:
-                            break
-                if sel:
-                    for idx in range(len(ip)):
-                        ip[idx] = False
-                    for idx in sel:
-                        q[idx] -= 1
-                        ip[idx] = True
-                else:
-                    m = len(q)
-            if m > 0:
-                j = C if C < m else m
-                del q[:j]
-                del ip[:j]
-                m -= j
-                transmitted += j
-                for idx in range(len(ip)):
-                    ip[idx] = False
-        final = t
-    return _counts(final, transmitted, dropped, pushed, admitted)
-
-
-def _fast_srpt(slots, works, B, C):
-    q: list[int] = []
-    n = len(slots)
-    i = 0
-    admitted = dropped = pushed = transmitted = 0
-    t = final = 0
-    while True:
-        if q:
-            t += 1
-        elif i < n:
-            t = slots[i]
-        else:
-            break
-        while i < n and slots[i] == t:
-            w = works[i]
-            i += 1
-            if len(q) < B:
-                q.append(w)
-                admitted += 1
-            else:
-                mx = max(q)
-                if w < mx:
-                    del q[q.index(mx)]
-                    q.append(w)
-                    admitted += 1
-                    pushed += 1
-                else:
-                    dropped += 1
-        if q:
-            if C == 1:
-                bidx = 0
-                best = q[0]
-                for idx in range(1, len(q)):
-                    if q[idx] < best:
-                        best = q[idx]
-                        bidx = idx
-                if best == 1:
-                    del q[bidx]
-                    transmitted += 1
-                else:
-                    q[bidx] = best - 1
-            else:
-                order = sorted(range(len(q)), key=q.__getitem__)
-                chosen = order[: C if C < len(q) else len(q)]
-                for idx in chosen:
-                    q[idx] -= 1
-                for idx in sorted((x for x in chosen if q[x] == 0), reverse=True):
-                    del q[idx]
-                    transmitted += 1
-        final = t
-    return _counts(final, transmitted, dropped, pushed, admitted)
-
-
 _FAST_LOOPS = {
-    "npo": _fast_npo,
-    "po": _fast_po,
-    "lpo": _fast_lpo,
-    "lpo_p": _fast_lpo_p,
-    "srpt": _fast_srpt,
+    "npo": partial(_fast_eager, pushout=False, shortest=False),
+    "po": partial(_fast_eager, pushout=True, shortest=False),
+    "srpt": partial(_fast_eager, pushout=True, shortest=True),
+    "lpo": partial(_fast_lazy, spare=False),
+    "lpo_p": partial(_fast_lazy, spare=True),
 }

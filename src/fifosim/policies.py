@@ -74,11 +74,6 @@ def po_on_arrival(state: BufferState, packet: Packet) -> AdmissionDecision:
     return DROP
 
 
-def lpo_on_arrival(state: BufferState, packet: Packet) -> AdmissionDecision:
-    """Same rule as the eager push-out policy, in both fill and drain."""
-    return po_on_arrival(state, packet)
-
-
 def lpo_p_on_arrival(state: BufferState, packet: Packet, in_process) -> AdmissionDecision:
     """Lazy admission that never evicts a packet selected in the most recent
     processing phase; the victim search skips those ids."""
@@ -88,11 +83,6 @@ def lpo_p_on_arrival(state: BufferState, packet: Packet, in_process) -> Admissio
     if victim is not None and packet.required_work < victim.residual_work:
         return push_out(victim.id)
     return DROP
-
-
-def srpt_on_arrival(state: BufferState, packet: Packet) -> AdmissionDecision:
-    """Reference policy admission: identical eviction rule to the push-out policy."""
-    return po_on_arrival(state, packet)
 
 
 def po_select_processing(state: BufferState, cores: int) -> list[int]:
@@ -179,7 +169,7 @@ class LpoPolicy(Policy):
         self._gate_open = False
 
     def on_arrival(self, state, packet):
-        return lpo_on_arrival(state, packet)
+        return po_on_arrival(state, packet)  # same rule in fill and drain
 
     def select_processing(self, state, cores):
         ids, gate, self.mode = lpo_select_processing(state, self.mode, cores)
@@ -210,7 +200,7 @@ class SrptPolicy(Policy):
     name = "srpt"
 
     def on_arrival(self, state, packet):
-        return srpt_on_arrival(state, packet)
+        return po_on_arrival(state, packet)
 
     def select_processing(self, state, cores):
         return srpt_select_processing(state, cores)

@@ -22,17 +22,6 @@ from .traffic import MmppParams, gen_mmpp
 
 SWEEPABLE = ("k", "B", "C")
 
-# Best-effort reconstructions of the nine published ratio panels (the exact
-# figure pairings are not recoverable); every grid is plain data and fully
-# overridable.
-DEFAULT_GRIDS = {
-    "k_sweeps": tuple(dict(param="k", values=tuple(range(1, 41)), B=B, C=1) for B in (5, 15, 40)),
-    "B_sweeps": tuple(dict(param="B", values=tuple(range(1, 41)), k=k, C=1) for k in (3, 5, 10)),
-    "C_sweeps": tuple(
-        dict(param="C", values=tuple(range(1, 11)), k=k, B=B) for k, B in ((5, 5), (5, 10), (25, 10))
-    ),
-}
-
 
 @dataclass(frozen=True)
 class SweepConfig:

@@ -15,10 +15,10 @@ class TraceError(ValueError):
 class Trace:
     """Time-ordered arrival events.
 
-    ``events`` is a list of ``(slot, works)`` pairs with slots strictly
-    increasing; each entry lists the required work of the packets arriving
-    in that slot, in offer order.  ``k_declared`` is the declared upper
-    bound on work (0 means undeclared).
+    ``events`` is a list of ``(slot, works)`` pairs with slots
+    non-decreasing; each entry lists the required work of the packets
+    arriving in that slot, in offer order.  ``k_declared`` is the declared
+    upper bound on work (0 means undeclared).
     """
 
     events: list[tuple[int, list[int]]]
@@ -87,19 +87,36 @@ def write_trace(trace: Trace, path) -> None:
             fh.write('{"slot": %d, "work": %d}\n' % (slot, work))
 
 
+def _record(path, number: int, line: str) -> dict:
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        rec = None
+    if not isinstance(rec, dict):
+        raise TraceError(f"{path}: line {number}: not a JSON object")
+    return rec
+
+
 def read_trace(path) -> Trace:
-    """Read a JSON-lines trace file written by :func:`write_trace`."""
+    """Read a JSON-lines trace file written by :func:`write_trace`.
+
+    A line that is not a JSON object, a packet record without integer
+    ``slot`` and ``work``, or an invalid trace raises :class:`TraceError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
     if not lines:
         raise TraceError(f"{path}: empty trace file (missing header record)")
-    header = json.loads(lines[0])
+    header = _record(path, *lines[0])
     if "k" not in header:
         raise TraceError(f"{path}: first record is not a trace header")
     pairs = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        pairs.append((int(rec["slot"]), int(rec["work"])))
+    for number, line in lines[1:]:
+        rec = _record(path, number, line)
+        try:
+            pairs.append((int(rec["slot"]), int(rec["work"])))
+        except (KeyError, TypeError, ValueError):
+            raise TraceError(f"{path}: line {number}: packet record needs integer slot and work") from None
     trace = Trace(
         events=merge_events(iter(pairs)),
         k_declared=int(header["k"]),

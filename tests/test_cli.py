@@ -40,6 +40,13 @@ def test_gen_and_simulate_round_trip(tmp_path, capsys):
     assert "transmitted=20" in line
 
 
+def test_simulate_malformed_trace_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"k": 2, "generator": "g", "params": {}, "seed": 0}\n{"slot": 1}\n')
+    assert main(["simulate", "--trace", str(path), "--policy", "po", "--buffer", "4"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_simulate_events_flag(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     main(["gen", "--construction", "PO_VS_LPO", "--buffer", "2", "--out", str(out)])

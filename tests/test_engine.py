@@ -2,7 +2,7 @@
 
 import pytest
 
-from fifosim import Trace, TraceError, UnknownPolicyError, run
+from fifosim import ACCEPT, Policy, SimulationError, Trace, TraceError, UnknownPolicyError, push_out, run
 
 from conftest import make_trace, replay_event_log
 
@@ -110,12 +110,14 @@ def test_event_log_replay_validates_structure():
 
 
 def test_fast_and_general_paths_agree(rng):
+    # the sweeps' range: B 1..40, C 1..10, k up to 40; the fixed pairs cover
+    # B = 1 and C > B, and ~120 packets over 15 slots fill a 40-packet buffer
     from conftest import random_trace
 
-    for _ in range(60):
-        trace = random_trace(rng)
-        B = int(rng.integers(1, 5))
-        C = int(rng.integers(1, 4))
+    dims = [(1, 1), (1, 10), (3, 7), (40, 1), (40, 10)]
+    dims += [(int(rng.integers(1, 41)), int(rng.integers(1, 11))) for _ in range(95)]
+    for B, C in dims:
+        trace = random_trace(rng, max_packets=120, max_k=40)
         for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
             fast = run(trace, pol, B, C)
             slow = run(trace, pol, B, C, record_events=True)
@@ -179,3 +181,24 @@ def test_policy_instance_accepted():
     result = run(make_trace([(1, [2, 1])]), PoPolicy(), 2, 1)
     assert result.policy == "po"
     assert result.transmitted_count == 2
+
+
+def test_bad_ids_from_custom_policy_raise_simulation_error():
+    class EvictsStranger(Policy):
+        def on_arrival(self, state, packet):
+            return push_out(999)
+
+        def select_processing(self, state, cores):
+            return []
+
+    class SelectsStranger(Policy):
+        def on_arrival(self, state, packet):
+            return ACCEPT
+
+        def select_processing(self, state, cores):
+            return [999]
+
+    trace = make_trace([(1, [2])])
+    for policy in (EvictsStranger(), SelectsStranger()):
+        with pytest.raises(SimulationError, match="unknown packet 999"):
+            run(trace, policy, 2, 1)

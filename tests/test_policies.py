@@ -9,15 +9,12 @@ from fifosim import (
     LpoMode,
     Packet,
     UnknownPolicyError,
-    buffer_stats,
-    lpo_on_arrival,
     lpo_p_on_arrival,
     lpo_select_processing,
     make_policy,
     npo_on_arrival,
     po_on_arrival,
     po_select_processing,
-    srpt_on_arrival,
     srpt_select_processing,
 )
 
@@ -78,19 +75,14 @@ def test_po_selects_fifo_prefix():
 
 # --- lazy push-out ---
 
-def test_lpo_admission_matches_po():
-    state = state_of([3, 5, 2], 3)
-    assert lpo_on_arrival(state, pkt(4)) == po_on_arrival(state, pkt(4))
-
-
 def test_lpo_marked_ones_never_pushed_out():
     state = state_of([1, 1], 2, marked={0, 1})
-    assert lpo_on_arrival(state, pkt(1)) is DROP
+    assert make_policy("lpo").on_arrival(state, pkt(1)) is DROP
 
 
 def test_lpo_drain_mode_pushout_of_unmarked():
     state = state_of([1, 1, 4], 3, marked={0, 1})
-    decision = lpo_on_arrival(state, pkt(2))
+    decision = make_policy("lpo").on_arrival(state, pkt(2))
     assert decision.is_pushout and decision.victim_id == 3
 
 
@@ -157,30 +149,7 @@ def test_srpt_selects_c_smallest():
 
 
 def test_srpt_admission_strictness():
-    assert srpt_on_arrival(state_of([9, 9, 9], 3), pkt(9)) is DROP
-
-
-# --- buffer stats ---
-
-def test_buffer_stats_summation():
-    stats = buffer_stats(state_of([3, 5, 2], 5))
-    assert (stats.occupancy, stats.total_residual, stats.max_residual) == (3, 10, 5)
-    assert stats.first_max_index == 1
-
-
-def test_buffer_stats_empty():
-    stats = buffer_stats(state_of([], 5))
-    assert (stats.occupancy, stats.total_residual, stats.max_residual) == (0, 0, 0)
-    assert stats.first_max_index is None
-
-
-def test_buffer_stats_tie_break_from_head():
-    assert buffer_stats(state_of([4, 4], 5)).first_max_index == 0
-
-
-def test_buffer_stats_max_at_least_average():
-    stats = buffer_stats(state_of([2, 3, 4, 1], 5))
-    assert stats.max_residual >= stats.total_residual / stats.occupancy
+    assert make_policy("srpt").on_arrival(state_of([9, 9, 9], 3), pkt(9)) is DROP
 
 
 # --- registry ---

@@ -84,3 +84,19 @@ def test_read_rejects_invalid_contents(tmp_path):
     path.write_text('{"k": 2, "generator": "g", "params": {}, "seed": 0}\n{"slot": 1, "work": 0}\n')
     with pytest.raises(TraceError):
         read_trace(path)
+
+
+def test_read_rejects_malformed_records_naming_the_line(tmp_path):
+    header = '{"k": 2, "generator": "g", "params": {}, "seed": 0}\n'
+    cases = {
+        header + '{"slot": 1, "work": 1}\n\n{"slot": 1}\n': "line 4",
+        header + "[1, 2]\n": "line 2",
+        header + "{not json\n": "line 2",
+        header + '{"slot": null, "work": 1}\n': "line 2",
+        "3\n": "line 1",
+    }
+    path = tmp_path / "bad.jsonl"
+    for text, where in cases.items():
+        path.write_text(text)
+        with pytest.raises(TraceError, match=where):
+            read_trace(path)
