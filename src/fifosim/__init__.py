@@ -4,13 +4,11 @@ case and stochastic traffic, a brute-force offline optimum for micro
 instances, and the claimed-ratio checks tying them together."""
 
 from .adversarial import (
-    AdversarialTrace,
-    CONSTRUCTIONS,
     ConstructionError,
     gen_adversarial,
     reference_accept_mask,
 )
-from .bounds import BOUND_IDS, BoundValue, bound_value
+from .bounds import BOUND_IDS, bound_value
 from .core import (
     BufferState,
     Packet,
@@ -22,16 +20,13 @@ from .engine import run
 from .oracle import (
     OracleLimitError,
     OracleResult,
-    ScriptedAdmissionPolicy,
     offline_opt_bruteforce,
     replay_accept_mask,
 )
 from .policies import (
     ACCEPT,
     DROP,
-    AdmissionDecision,
     LpoMode,
-    POLICY_IDS,
     Policy,
     UnknownPolicyError,
     lpo_p_on_arrival,
@@ -45,7 +40,6 @@ from .policies import (
 )
 from .sweep import (
     ResultTable,
-    SweepAggregate,
     SweepConfig,
     SweepRow,
     derive_run_seed,
@@ -53,14 +47,12 @@ from .sweep import (
     sweep,
     write_results_csv,
 )
-from .trace import Trace, TraceError, merge_events, read_trace, validate_trace, write_trace
+from .trace import Trace, TraceError, read_trace, validate_trace, write_trace
 from .traffic import MmppParams, gen_mmpp
 from .verify import (
     VerificationReport,
     constructions_suite,
     golden_suite,
-    random_micro_trace,
-    sweep_reproduction_reports,
     verify_construction,
     verify_micro,
 )
@@ -68,12 +60,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarialTrace",
-    "CONSTRUCTIONS",
     "ConstructionError",
     "gen_adversarial",
     "BOUND_IDS",
-    "BoundValue",
     "bound_value",
     "BufferState",
     "Packet",
@@ -83,14 +72,11 @@ __all__ = [
     "run",
     "OracleLimitError",
     "OracleResult",
-    "ScriptedAdmissionPolicy",
     "offline_opt_bruteforce",
     "replay_accept_mask",
     "ACCEPT",
     "DROP",
-    "AdmissionDecision",
     "LpoMode",
-    "POLICY_IDS",
     "Policy",
     "UnknownPolicyError",
     "lpo_p_on_arrival",
@@ -103,7 +89,6 @@ __all__ = [
     "srpt_select_processing",
     "reference_accept_mask",
     "ResultTable",
-    "SweepAggregate",
     "SweepConfig",
     "SweepRow",
     "derive_run_seed",
@@ -112,7 +97,6 @@ __all__ = [
     "write_results_csv",
     "Trace",
     "TraceError",
-    "merge_events",
     "read_trace",
     "validate_trace",
     "write_trace",
@@ -121,8 +105,6 @@ __all__ = [
     "VerificationReport",
     "constructions_suite",
     "golden_suite",
-    "random_micro_trace",
-    "sweep_reproduction_reports",
     "verify_construction",
     "verify_micro",
 ]

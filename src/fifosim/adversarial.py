@@ -312,16 +312,13 @@ def reference_accept_mask(adv: AdversarialTrace) -> tuple[bool, ...] | None:
     if rejects is None:
         return None
     reject_set = set(rejects)
-    return tuple(work not in reject_set for _, work in adv.trace.packets())
+    return tuple(work not in reject_set for work in adv.trace.works)
 
 
 def _tile(period, period_len, copies, declared_k, name, B, C, periods, level, claimed, claimed_total, notes, rejects=None):
-    events: list[tuple[int, list[int]]] = []
-    for copy in range(copies):
-        base = copy * period_len
-        for slot in sorted(period):
-            events.append((base + slot, list(period[slot])))
-    max_work = max((w for _, ws in events for w in ws), default=0)
+    order = sorted(period)
+    slots = [copy * period_len + s for copy in range(copies) for s in order for _ in period[s]]
+    works = [w for _ in range(copies) for s in order for w in period[s]]
     params = {
         "construction": name,
         "B": B,
@@ -338,7 +335,8 @@ def _tile(period, period_len, copies, declared_k, name, B, C, periods, level, cl
     if rejects is not None:
         params["reference_reject_works"] = sorted(rejects)
     return Trace(
-        events=events,
-        k_declared=declared_k if declared_k else max_work,
+        slots=slots,
+        works=works,
+        k_declared=declared_k if declared_k else max(works, default=0),
         metadata={"generator": "adversarial", "seed": 0, "params": params},
     )

@@ -31,10 +31,6 @@ class BufferState:
     capacity: int
     queue: list[Packet] = field(default_factory=list)
 
-    @property
-    def occupancy(self) -> int:
-        return len(self.queue)
-
     def is_full(self) -> bool:
         return len(self.queue) >= self.capacity
 

@@ -9,7 +9,10 @@ empties, so throughput counts everything the policy would deliver.
 
 ``run`` dispatches to one of two fast loops (counters only) unless an event
 log or occupancy series was requested: an eager loop for npo, po and srpt,
-and a lazy loop for lpo and lpo_p.  Both paths produce identical counts.
+and a lazy loop for lpo and lpo_p.  Both loops and the general path walk the
+trace's packet-aligned ``slots``/``works`` columns directly; the general path
+numbers packet ``i`` of the trace as id ``i + 1``.  Both paths produce
+identical counts.
 """
 
 from __future__ import annotations
@@ -48,29 +51,18 @@ def run(
         fast = _FAST_LOOPS.get(policy)
         if fast is None:
             make_policy(policy)  # raises UnknownPolicyError with the id list
-        slots, works = _flatten(trace)
-        counts = fast(slots, works, buffer_size, cores)
+        counts = fast(trace.slots, trace.works, buffer_size, cores)
         return SimulationResult(policy=policy, buffer_size=buffer_size, cores=cores, **counts)
     return _run_general(trace, policy, buffer_size, cores, record_events, record_occupancy)
-
-
-def _flatten(trace: Trace) -> tuple[list[int], list[int]]:
-    slots: list[int] = []
-    works: list[int] = []
-    for slot, batch in trace.events:
-        slots.extend([slot] * len(batch))
-        works.extend(batch)
-    return slots, works
 
 
 def _run_general(trace, policy, buffer_size, cores, record_events, record_occupancy):
     pol = make_policy(policy)
     state = BufferState(capacity=buffer_size)
     queue = state.queue
-    events = trace.events
-    n_events = len(events)
-    ev_idx = 0
-    next_id = 1
+    slots, works = trace.slots, trace.works
+    n = len(slots)
+    i = 0
     admitted = dropped = pushed = transmitted = 0
     t = 0
     final_slot = 0
@@ -80,51 +72,47 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
     while True:
         if queue:
             t += 1
-        elif ev_idx < n_events:
-            t = events[ev_idx][0]
+        elif i < n:
+            t = slots[i]
         else:
             break
         slot_ev = SlotEvents(slot=t) if record_events else None
 
         # phase (i): arrivals, one offer at a time
-        while ev_idx < n_events and events[ev_idx][0] == t:
-            for work in events[ev_idx][1]:
-                pkt = Packet(next_id, t, work, work)
-                next_id += 1
-                decision = pol.on_arrival(state, pkt)
-                if decision.is_accept:
-                    if state.is_full():
-                        raise SimulationError(
-                            f"{pol.name}: accept with a full buffer at slot {t}"
-                        )
-                    queue.append(pkt)
-                    admitted += 1
-                    if slot_ev:
-                        slot_ev.admitted.append(pkt.id)
-                elif decision.is_pushout:
-                    victim = next((p for p in queue if p.id == decision.victim_id), None)
-                    if victim is None:
-                        raise SimulationError(
-                            f"{pol.name}: push-out of unknown packet {decision.victim_id} at slot {t}"
-                        )
-                    if victim.residual_work <= pkt.required_work:
-                        # push-out must strictly reduce total residual work
-                        raise SimulationError(
-                            f"{pol.name}: push-out of residual {victim.residual_work} "
-                            f"for work {pkt.required_work} at slot {t}"
-                        )
-                    queue.remove(victim)
-                    queue.append(pkt)
-                    admitted += 1
-                    pushed += 1
-                    if slot_ev:
-                        slot_ev.pushed_out.append((victim.id, pkt.id))
-                        slot_ev.admitted.append(pkt.id)
-                else:
-                    dropped += 1
-                    if slot_ev:
-                        slot_ev.dropped_on_arrival.append(pkt.id)
-            ev_idx += 1
+        while i < n and slots[i] == t:
+            pkt = Packet(i + 1, t, works[i], works[i])
+            i += 1
+            decision = pol.on_arrival(state, pkt)
+            if decision.is_accept:
+                if state.is_full():
+                    raise SimulationError(f"{pol.name}: accept with a full buffer at slot {t}")
+                queue.append(pkt)
+                admitted += 1
+                if slot_ev:
+                    slot_ev.admitted.append(pkt.id)
+            elif decision.is_pushout:
+                victim = next((p for p in queue if p.id == decision.victim_id), None)
+                if victim is None:
+                    raise SimulationError(
+                        f"{pol.name}: push-out of unknown packet {decision.victim_id} at slot {t}"
+                    )
+                if victim.residual_work <= pkt.required_work:
+                    # push-out must strictly reduce total residual work
+                    raise SimulationError(
+                        f"{pol.name}: push-out of residual {victim.residual_work} "
+                        f"for work {pkt.required_work} at slot {t}"
+                    )
+                queue.remove(victim)
+                queue.append(pkt)
+                admitted += 1
+                pushed += 1
+                if slot_ev:
+                    slot_ev.pushed_out.append((victim.id, pkt.id))
+                    slot_ev.admitted.append(pkt.id)
+            else:
+                dropped += 1
+                if slot_ev:
+                    slot_ev.dropped_on_arrival.append(pkt.id)
 
         # phase (ii): processing
         selected = pol.select_processing(state, cores)
@@ -159,7 +147,7 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
                     kept.append(p)
             if len(kept) != len(queue):
                 queue[:] = kept
-        elif queue and ev_idx >= n_events:
+        elif queue and i >= n:
             raise SimulationError(f"{pol.name}: no progress with {len(queue)} packets queued")
 
         final_slot = t

@@ -46,8 +46,8 @@ def offline_opt_bruteforce(
     admit into a full buffer by evicting any one resident packet (slower;
     no accept mask is reconstructed in that mode).
     """
-    packets = list(trace.packets())
-    n = len(packets)
+    slots, works = trace.slots, trace.works
+    n = len(slots)
     if n > max_packets:
         raise OracleLimitError(
             f"instance has {n} packets, above the exhaustive-search limit {max_packets}"
@@ -56,9 +56,6 @@ def offline_opt_bruteforce(
         raise ValueError("B and C must be >= 1")
     if n == 0:
         return OracleResult(0, (), 1)
-
-    slots = [s for s, _ in packets]
-    works = [w for _, w in packets]
 
     def advance(queue: tuple[int, ...], nslots: int) -> tuple[int, ...]:
         q = list(queue)

@@ -75,15 +75,9 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
     total = int(counts.sum())
     all_works = rng.integers(1, params.k + 1, total)
 
-    events: list[tuple[int, list[int]]] = []
-    pos = 0
-    nz = np.nonzero(counts)[0]
-    for idx in np.nditer(nz) if nz.size else []:
-        c = int(counts[idx])
-        events.append((int(idx) + 1, [int(w) for w in all_works[pos : pos + c]]))
-        pos += c
     return Trace(
-        events=events,
+        slots=np.repeat(np.arange(1, slots + 1), counts).tolist(),
+        works=all_works.tolist(),
         k_declared=params.k,
         metadata={
             "generator": "mmpp",

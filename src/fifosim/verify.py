@@ -12,7 +12,7 @@ from .adversarial import gen_adversarial, reference_accept_mask
 from .bounds import bound_value
 from .engine import run
 from .oracle import offline_opt_bruteforce, replay_accept_mask
-from .trace import Trace, merge_events
+from .trace import Trace
 
 
 @dataclass
@@ -144,11 +144,11 @@ def random_micro_trace(rng: np.random.Generator, max_packets: int = 10, max_slot
     n = int(rng.integers(1, max_packets + 1))
     slots = sorted(int(s) for s in rng.integers(1, max_slot + 1, n))
     works = [int(w) for w in rng.integers(1, k + 1, n)]
-    return Trace(events=merge_events(zip(slots, works)), k_declared=k)
+    return Trace(slots=slots, works=works, k_declared=k)
 
 
 def _serialize(trace: Trace) -> str:
-    return json.dumps({"k": trace.k_declared, "events": trace.events})
+    return json.dumps({"k": trace.k_declared, "slots": trace.slots, "works": trace.works})
 
 
 FIFO_POLICIES = ("npo", "po", "lpo", "lpo_p")

@@ -5,15 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fifosim import Trace, merge_events
+from fifosim import Trace
 
 
 def make_trace(events, k=0):
     """Trace from [(slot, [works...]), ...] with k inferred when omitted."""
-    events = [(slot, list(works)) for slot, works in events]
-    if not k:
-        k = max((w for _, ws in events for w in ws), default=0)
-    return Trace(events=events, k_declared=k)
+    slots = [slot for slot, ws in events for _ in ws]
+    works = [w for _, ws in events for w in ws]
+    return Trace(slots=slots, works=works, k_declared=k or max(works, default=0))
 
 
 def random_trace(rng: np.random.Generator, max_packets=20, max_slot=15, max_k=6):
@@ -21,7 +20,7 @@ def random_trace(rng: np.random.Generator, max_packets=20, max_slot=15, max_k=6)
     n = int(rng.integers(0, max_packets + 1))
     slots = sorted(int(s) for s in rng.integers(1, max_slot + 1, n))
     works = [int(w) for w in rng.integers(1, k + 1, n)]
-    return Trace(events=merge_events(zip(slots, works)), k_declared=k)
+    return Trace(slots=slots, works=works, k_declared=k)
 
 
 FIFO_IDS = ("npo", "po", "lpo", "lpo_p")
@@ -37,20 +36,10 @@ def replay_event_log(trace, result, B, C):
     non-zero residuals, or lost packets.
     """
     policy = result.policy
-    works = {}
-    next_id = 1
-    for _, batch in trace.events:
-        for work in batch:
-            works[next_id] = work
-            next_id += 1
-
+    works = {pid: work for pid, work in enumerate(trace.works, 1)}
     arrivals_by_slot = {}
-    pid = 1
-    for slot, batch in trace.events:
-        ids = arrivals_by_slot.setdefault(slot, [])
-        for _ in batch:
-            ids.append(pid)
-            pid += 1
+    for pid, slot in enumerate(trace.slots, 1):
+        arrivals_by_slot.setdefault(slot, []).append(pid)
 
     residual = {}
     queue = []  # resident ids, FIFO

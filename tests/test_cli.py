@@ -45,6 +45,9 @@ def test_simulate_malformed_trace_is_usage_error(tmp_path, capsys):
     path.write_text('{"k": 2, "generator": "g", "params": {}, "seed": 0}\n{"slot": 1}\n')
     assert main(["simulate", "--trace", str(path), "--policy", "po", "--buffer", "4"]) == 2
     assert "line 2" in capsys.readouterr().err
+    path.write_text('{"k": null, "generator": "g", "params": {}, "seed": 0}\n{"slot": 1, "work": 1}\n')
+    assert main(["simulate", "--trace", str(path), "--policy", "po", "--buffer", "4"]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_simulate_events_flag(tmp_path, capsys):

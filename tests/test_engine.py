@@ -56,9 +56,9 @@ def test_multi_core_processes_prefix():
 
 def test_invalid_trace_rejected_before_slot_one():
     with pytest.raises(TraceError):
-        run(Trace(events=[(1, [0])], k_declared=1), "npo", 2, 1)
+        run(Trace(slots=[1], works=[0], k_declared=1), "npo", 2, 1)
     with pytest.raises(TraceError):
-        run(Trace(events=[(3, [1]), (2, [1])], k_declared=1), "npo", 2, 1)
+        run(Trace(slots=[3, 2], works=[1, 1], k_declared=1), "npo", 2, 1)
 
 
 def test_unknown_policy_rejected():
@@ -133,7 +133,7 @@ def test_fast_and_general_paths_agree(rng):
                 slow.pushout_count,
                 slow.admitted_count,
                 slow.final_slot,
-            ), (pol, B, C, trace.events)
+            ), (pol, B, C, trace.slots, trace.works)
 
 
 def test_lpo_holds_finished_packets_until_drain():

@@ -7,6 +7,7 @@ import pytest
 from fifosim import (
     OracleLimitError,
     SimulationError,
+    Trace,
     offline_opt_bruteforce,
     replay_accept_mask,
     run,
@@ -103,10 +104,8 @@ def test_monotone_under_added_packet(rng):
         base = offline_opt_bruteforce(trace, B=2).throughput
         slot = int(rng.integers(1, 9))
         work = int(rng.integers(1, 5))
-        pairs = sorted(list(trace.packets()) + [(slot, work)])
-        from fifosim import Trace, merge_events
-
-        bigger = Trace(events=merge_events(iter(pairs)), k_declared=max(trace.k_declared, work))
+        slots, works = map(list, zip(*sorted([*zip(trace.slots, trace.works), (slot, work)])))
+        bigger = Trace(slots=slots, works=works, k_declared=max(trace.k_declared, work))
         assert offline_opt_bruteforce(bigger, B=2).throughput >= base
 
 

@@ -3,7 +3,7 @@
 from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
-from fifosim import Trace, merge_events, offline_opt_bruteforce, run
+from fifosim import Trace, offline_opt_bruteforce, run
 
 from conftest import FIFO_IDS, is_subsequence, replay_event_log
 
@@ -14,12 +14,12 @@ packet_lists = st.lists(
 
 
 def build_trace(deltas):
+    slots = []
     slot = 1
-    pairs = []
-    for gap, work in deltas:
+    for gap, _ in deltas:
         slot += gap
-        pairs.append((slot, work))
-    return Trace(events=merge_events(iter(pairs)), k_declared=6)
+        slots.append(slot)
+    return Trace(slots=slots, works=[work for _, work in deltas], k_declared=6)
 
 
 policy_ids = st.sampled_from(("npo", "po", "lpo", "lpo_p", "srpt"))
@@ -55,7 +55,7 @@ def test_npo_never_pushes_out(deltas, B, C):
 @settings(max_examples=100, deadline=None)
 def test_pushout_strictly_decreases_total_residual(deltas, B, C):
     trace = build_trace(deltas)
-    works = {i + 1: w for i, (_, w) in enumerate(trace.packets())}
+    works = dict(enumerate(trace.works, 1))
     for policy in ("po", "lpo", "lpo_p", "srpt"):
         result = run(trace, policy, B, C, record_events=True)
         residual = {}
@@ -115,8 +115,8 @@ def test_runs_are_deterministic(deltas, policy, B, C):
 def test_oracle_monotone_in_added_packet(deltas, extra, B):
     trace = build_trace(deltas)
     base = offline_opt_bruteforce(trace, B).throughput
-    pairs = sorted(list(trace.packets()) + [extra])
-    bigger = Trace(events=merge_events(iter(pairs)), k_declared=6)
+    slots, works = map(list, zip(*sorted([*zip(trace.slots, trace.works), extra])))
+    bigger = Trace(slots=slots, works=works, k_declared=6)
     assert offline_opt_bruteforce(bigger, B).throughput >= base
 
 

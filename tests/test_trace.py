@@ -1,7 +1,6 @@
 import pytest
 
-from fifosim import Trace, TraceError, read_trace, validate_trace, write_trace
-from fifosim.trace import merge_events
+from fifosim import Trace, TraceError, read_trace, run, validate_trace, write_trace
 
 from conftest import make_trace
 
@@ -17,39 +16,43 @@ def test_nonpositive_work_rejected():
 
 
 def test_decreasing_slots_rejected():
-    errors = validate_trace(Trace(events=[(3, [1]), (2, [1])], k_declared=1))
+    errors = validate_trace(Trace(slots=[3, 2], works=[1, 1], k_declared=1))
     assert any("non-decreasing" in e for e in errors)
 
 
 def test_slot_below_one_rejected():
-    errors = validate_trace(Trace(events=[(0, [1])], k_declared=1))
+    errors = validate_trace(Trace(slots=[0], works=[1], k_declared=1))
     assert any(">= 1" in e for e in errors)
 
 
 def test_work_above_declared_k_rejected():
-    errors = validate_trace(Trace(events=[(1, [5])], k_declared=3))
+    errors = validate_trace(Trace(slots=[1], works=[5], k_declared=3))
     assert any("exceeds declared k" in e for e in errors)
 
 
 def test_undeclared_k_skips_bound_check():
-    assert validate_trace(Trace(events=[(1, [99])], k_declared=0)) == []
+    assert validate_trace(Trace(slots=[1], works=[99], k_declared=0)) == []
 
 
 def test_validation_collects_all_violations():
-    trace = Trace(events=[(0, [0]), (5, [1]), (2, [7])], k_declared=3)
+    trace = Trace(slots=[0, 5, 2], works=[0, 1, 7], k_declared=3)
     errors = validate_trace(trace)
     assert len(errors) == 4  # bad slot, bad work, decreasing, work > k
 
 
-def test_merge_events_groups_same_slot():
-    assert merge_events(iter([(1, 2), (1, 3), (4, 1)])) == [(1, [2, 3]), (4, [1])]
+def test_unequal_column_lengths_rejected():
+    trace = Trace(slots=[1, 2], works=[1], k_declared=1)
+    assert any("equal length" in e for e in validate_trace(trace))
+    with pytest.raises(TraceError, match="equal length"):
+        run(trace, "po", 2, 1)
 
 
 def test_packets_iteration_order():
     trace = make_trace([(1, [2, 3]), (5, [1])])
-    assert list(trace.packets()) == [(1, 2), (1, 3), (5, 1)]
+    assert trace.slots == [1, 1, 5]
+    assert trace.works == [2, 3, 1]
     assert trace.packet_count == 3
-    assert trace.max_work() == 3
+    assert trace.k_declared == 3
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -58,7 +61,7 @@ def test_jsonl_round_trip(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     back = read_trace(path)
-    assert back.events == trace.events
+    assert (back.slots, back.works) == (trace.slots, trace.works)
     assert back.k_declared == 5
     assert back.metadata["generator"] == "test"
     assert back.metadata["seed"] == 7
@@ -93,7 +96,16 @@ def test_read_rejects_malformed_records_naming_the_line(tmp_path):
         header + "[1, 2]\n": "line 2",
         header + "{not json\n": "line 2",
         header + '{"slot": null, "work": 1}\n': "line 2",
+        header + '{"slot": 1.7, "work": 1}\n': "line 2",
+        header + '{"slot": 1, "work": 2.2}\n': "line 2",
+        header + '{"slot": true, "work": 1}\n': "line 2",
+        header + '{"slot": 1, "work": true}\n': "line 2",
         "3\n": "line 1",
+        '{"k": null}\n': "line 1",
+        '{"k": 2.9}\n{"slot": 1, "work": 1}\n': "line 1",
+        '{"k": true}\n': "line 1",
+        '{"k": -1}\n': "line 1",
+        '{"k": "2"}\n': "line 1",
     }
     path = tmp_path / "bad.jsonl"
     for text, where in cases.items():

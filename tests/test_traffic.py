@@ -10,12 +10,13 @@ def test_same_seed_reproduces_trace():
     params = MmppParams(k=7)
     a = gen_mmpp(params, 5000, seed=42)
     b = gen_mmpp(params, 5000, seed=42)
-    assert a.events == b.events
+    assert (a.slots, a.works) == (b.slots, b.works)
 
 
 def test_different_seeds_differ():
     params = MmppParams(k=7)
-    assert gen_mmpp(params, 5000, 1).events != gen_mmpp(params, 5000, 2).events
+    a, b = gen_mmpp(params, 5000, 1), gen_mmpp(params, 5000, 2)
+    assert (a.slots, a.works) != (b.slots, b.works)
 
 
 def test_generated_trace_validates():
@@ -29,19 +30,18 @@ def test_on_state_rate_matches_uniform_3_6():
     meta = trace.metadata
     on_mean = meta["on_arrivals"] / meta["on_slots"]
     assert 4.4 <= on_mean <= 4.6
-    assert all(w == 1 for _, works in trace.events for w in works)
+    assert all(w == 1 for w in trace.works)
 
 
 def test_mean_work_tracks_k():
     trace = gen_mmpp(MmppParams(k=40), 200_000, seed=12)
-    works = [w for _, ws in trace.events for w in ws]
-    assert 19.5 <= float(np.mean(works)) <= 21.5
+    assert 19.5 <= float(np.mean(trace.works)) <= 21.5
 
 
 def test_aggregate_load_matches_stationary_rate():
     params = MmppParams(k=10)
     trace = gen_mmpp(params, 200_000, seed=13)
-    total_work = sum(w for _, ws in trace.events for w in ws)
+    total_work = sum(trace.works)
     expected = params.stationary_load() * 200_000
     assert abs(total_work - expected) / expected <= 0.02
 
