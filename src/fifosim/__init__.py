@@ -26,17 +26,10 @@ from .oracle import (
 from .policies import (
     ACCEPT,
     DROP,
-    LpoMode,
     Policy,
     UnknownPolicyError,
-    lpo_p_on_arrival,
-    lpo_select_processing,
     make_policy,
-    npo_on_arrival,
-    po_on_arrival,
-    po_select_processing,
     push_out,
-    srpt_select_processing,
 )
 from .sweep import (
     ResultTable,
@@ -76,17 +69,10 @@ __all__ = [
     "replay_accept_mask",
     "ACCEPT",
     "DROP",
-    "LpoMode",
     "Policy",
     "UnknownPolicyError",
-    "lpo_p_on_arrival",
-    "lpo_select_processing",
     "make_policy",
-    "npo_on_arrival",
-    "po_on_arrival",
-    "po_select_processing",
     "push_out",
-    "srpt_select_processing",
     "reference_accept_mask",
     "ResultTable",
     "SweepConfig",

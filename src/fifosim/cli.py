@@ -1,7 +1,7 @@
 """Command-line runner: simulate, gen, sweep, verify, bounds.
 
 Exit codes: 0 success (all checks PASS for verify), 1 verification FAIL,
-2 usage error (bad flags, missing files, invalid parameters).
+2 usage error (bad flags, unreadable or unwritable files, invalid parameters).
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    if not os.path.exists(args.trace):
-        print(f"error: trace file not found: {args.trace}", file=sys.stderr)
-        return 2
     try:
         trace = read_trace(args.trace)
         result = run(
@@ -174,6 +171,9 @@ def _cmd_sweep(args) -> int:
             master_seed=args.seed,
         )
         config.validate()
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise ValueError(f"--out {args.out}: no such directory {out_dir}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -223,7 +223,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "bounds": _cmd_bounds,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,17 +11,12 @@ class SimulationError(RuntimeError):
 
 @dataclass(slots=True)
 class Packet:
-    """A unit-size packet: total required work and the work still owed.
-
-    ``marked`` is the lazy policy's drain membership flag; it stays False
-    under every other policy.
-    """
+    """A unit-size packet: total required work and the work still owed."""
 
     id: int
     arrival_slot: int
     required_work: int
     residual_work: int
-    marked: bool = False
 
 
 @dataclass
@@ -49,7 +44,7 @@ class SlotEvents:
 
 @dataclass
 class SimulationResult:
-    """Counters for one run; event log and occupancy series are opt-in."""
+    """Counters for one run; the event log is opt-in."""
 
     policy: str
     buffer_size: int
@@ -60,4 +55,3 @@ class SimulationResult:
     pushout_count: int
     admitted_count: int
     events: list[SlotEvents] | None = None
-    occupancy_series: list[int] | None = None

@@ -3,13 +3,13 @@
 Each slot runs three phases: (i) arrivals, offered to the policy one at a
 time in trace order; (ii) processing, the policy selects at most C packets
 and each selected packet loses one residual cycle; (iii) transmission,
-zero-residual packets permitted by the policy's gate leave in queue order.
-The engine keeps running drain slots past the last arrival until the buffer
-empties, so throughput counts everything the policy would deliver.
+every zero-residual packet leaves, in queue order.  The engine keeps running
+drain slots past the last arrival until the buffer empties, so throughput
+counts everything the policy would deliver.
 
-``run`` dispatches to one of two fast loops (counters only) unless an event
-log or occupancy series was requested: an eager loop for npo, po and srpt,
-and a lazy loop for lpo and lpo_p.  Both loops and the general path walk the
+``run`` dispatches a registry id to one of two fast loops (counters only)
+unless an event log was requested: an eager loop for npo, po and srpt, and a
+lazy loop for lpo and lpo_p.  Both loops and the general path walk the
 trace's packet-aligned ``slots``/``works`` columns directly; the general path
 numbers packet ``i`` of the trace as id ``i + 1``.  Both paths produce
 identical counts.
@@ -31,7 +31,6 @@ def run(
     cores: int,
     *,
     record_events: bool = False,
-    record_occupancy: bool = False,
     validate: bool = True,
 ) -> SimulationResult:
     """Simulate one policy over one trace and return its accounting.
@@ -47,16 +46,16 @@ def run(
         errors = validate_trace(trace)
         if errors:
             raise TraceError("invalid trace: " + "; ".join(errors))
-    if isinstance(policy, str) and not record_events and not record_occupancy:
+    if isinstance(policy, str) and not record_events:
         fast = _FAST_LOOPS.get(policy)
         if fast is None:
             make_policy(policy)  # raises UnknownPolicyError with the id list
         counts = fast(trace.slots, trace.works, buffer_size, cores)
         return SimulationResult(policy=policy, buffer_size=buffer_size, cores=cores, **counts)
-    return _run_general(trace, policy, buffer_size, cores, record_events, record_occupancy)
+    return _run_general(trace, policy, buffer_size, cores, record_events)
 
 
-def _run_general(trace, policy, buffer_size, cores, record_events, record_occupancy):
+def _run_general(trace, policy, buffer_size, cores, record_events):
     pol = make_policy(policy)
     state = BufferState(capacity=buffer_size)
     queue = state.queue
@@ -67,7 +66,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
     t = 0
     final_slot = 0
     log: list[SlotEvents] | None = [] if record_events else None
-    occupancy: list[int] | None = [] if record_occupancy else None
 
     while True:
         if queue:
@@ -131,7 +129,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
                 if pkt.residual_work <= 0:
                     raise SimulationError(f"{pol.name}: packet {pid} selected at zero residual")
                 pkt.residual_work -= 1
-        pol.note_processed(selected)
         if slot_ev:
             slot_ev.processed.extend(selected)
 
@@ -139,7 +136,7 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
         if selected:
             kept = []
             for p in queue:
-                if p.residual_work == 0 and pol.may_transmit(state, p):
+                if p.residual_work == 0:
                     transmitted += 1
                     if slot_ev:
                         slot_ev.transmitted.append(p.id)
@@ -153,8 +150,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
         final_slot = t
         if log is not None:
             log.append(slot_ev)
-        if occupancy is not None:
-            occupancy.append(len(queue))
 
     if admitted != transmitted + pushed:
         raise SimulationError(
@@ -171,7 +166,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events, record_occupa
         pushout_count=pushed,
         admitted_count=admitted,
         events=log,
-        occupancy_series=occupancy,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import BufferState
 from .engine import run
-from .policies import ACCEPT, DROP, Policy, po_select_processing
+from .policies import ACCEPT, DROP, NpoPolicy
 from .trace import Trace
 
 
@@ -119,8 +119,8 @@ def offline_opt_bruteforce(
     return OracleResult(throughput, mask, len(memo))
 
 
-class ScriptedAdmissionPolicy(Policy):
-    """Replay a fixed accept/reject mask; FIFO processing, open gate."""
+class ScriptedAdmissionPolicy(NpoPolicy):
+    """Replay a fixed accept/reject mask; npo's FIFO processing."""
 
     name = "scripted"
 
@@ -134,9 +134,6 @@ class ScriptedAdmissionPolicy(Policy):
         if i < len(self.mask) and self.mask[i]:
             return ACCEPT
         return DROP
-
-    def select_processing(self, state, cores):
-        return po_select_processing(state, cores)
 
 
 def replay_accept_mask(trace: Trace, mask, B: int, C: int = 1):

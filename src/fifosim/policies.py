@@ -1,14 +1,14 @@
-"""The five buffer-management policies as decision functions over BufferState.
+"""The five buffer-management policies, each one :class:`Policy` subclass.
 
 Admission returns an :class:`AdmissionDecision`; processing selection returns
-packet ids (at most C of them); transmission gating is a per-packet predicate.
-The lazy policy carries one piece of cross-phase state (fill vs drain), held
-by its engine-facing wrapper class, never by the decision functions.
+packet ids (at most C of them).  Every zero-residual packet leaves in the
+transmission phase, so a policy controls departures through selection alone.
+The lazy policies keep their cross-phase state (the ids being drained, and
+for lpo_p the last selection) on the instance.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .core import BufferState, Packet
@@ -40,91 +40,8 @@ def push_out(victim_id: int) -> AdmissionDecision:
     return AdmissionDecision("pushout", victim_id)
 
 
-class LpoMode(enum.Enum):
-    """Lazy policy phase: FILL reduces residuals to 1, DRAIN transmits marked packets."""
-
-    FILL = "fill"
-    DRAIN = "drain"
-
-
-def _first_max_residual(queue: list[Packet], exclude: frozenset | set = frozenset()) -> Packet | None:
-    """First-from-head packet with maximal residual work, skipping excluded ids."""
-    best = None
-    for p in queue:
-        if p.id in exclude:
-            continue
-        if best is None or p.residual_work > best.residual_work:
-            best = p
-    return best
-
-
-def npo_on_arrival(state: BufferState, packet: Packet) -> AdmissionDecision:
-    """Greedy non-push-out admission: accept iff there is space."""
-    return ACCEPT if not state.is_full() else DROP
-
-
-def po_on_arrival(state: BufferState, packet: Packet) -> AdmissionDecision:
-    """Greedy admission; on a full buffer, push out the first maximal-residual
-    packet iff the arrival needs strictly less work than that residual."""
-    if not state.is_full():
-        return ACCEPT
-    victim = _first_max_residual(state.queue)
-    if victim is not None and packet.required_work < victim.residual_work:
-        return push_out(victim.id)
-    return DROP
-
-
-def lpo_p_on_arrival(state: BufferState, packet: Packet, in_process) -> AdmissionDecision:
-    """Lazy admission that never evicts a packet selected in the most recent
-    processing phase; the victim search skips those ids."""
-    if not state.is_full():
-        return ACCEPT
-    victim = _first_max_residual(state.queue, exclude=in_process)
-    if victim is not None and packet.required_work < victim.residual_work:
-        return push_out(victim.id)
-    return DROP
-
-
-def po_select_processing(state: BufferState, cores: int) -> list[int]:
-    """FIFO processing: the first min(C, occupancy) packets."""
-    return [p.id for p in state.queue[: min(cores, len(state.queue))]]
-
-
-def lpo_select_processing(state: BufferState, mode: LpoMode, cores: int) -> tuple[list[int], bool, LpoMode]:
-    """Select packets for the lazy policy and advance its phase.
-
-    Evaluated at the start of the processing phase.  A finished drain reverts
-    to fill; a fill in which every buffered packet is down to one residual
-    cycle marks the whole buffer and enters drain.  Fill selects the first
-    packets with residual > 1 (transmission gate closed: nothing is driven
-    below one cycle); drain selects the first marked packets and opens the
-    gate for marked packets only.
-
-    Returns (selected ids, gate open for marked packets, next mode).
-    """
-    queue = state.queue
-    if mode is LpoMode.DRAIN and not any(p.marked for p in queue):
-        mode = LpoMode.FILL
-    if mode is LpoMode.FILL and queue and all(p.residual_work == 1 for p in queue):
-        for p in queue:
-            p.marked = True
-        mode = LpoMode.DRAIN
-    if mode is LpoMode.DRAIN:
-        ids = [p.id for p in queue if p.marked][:cores]
-        return ids, True, LpoMode.DRAIN
-    ids = [p.id for p in queue if p.residual_work > 1][:cores]
-    return ids, False, LpoMode.FILL
-
-
-def srpt_select_processing(state: BufferState, cores: int) -> list[int]:
-    """Shortest-residual-first selection, earliest admission breaking ties."""
-    queue = state.queue
-    order = sorted(range(len(queue)), key=lambda i: (queue[i].residual_work, i))
-    return [queue[i].id for i in order[: min(cores, len(queue))]]
-
-
 class Policy:
-    """Engine-facing wrapper; one instance per run (may hold cross-phase state)."""
+    """Engine-facing policy; one instance per run (may hold cross-phase state)."""
 
     name = "?"
 
@@ -134,76 +51,86 @@ class Policy:
     def select_processing(self, state: BufferState, cores: int) -> list[int]:
         raise NotImplementedError
 
-    def may_transmit(self, state: BufferState, packet: Packet) -> bool:
-        return True
-
-    def note_processed(self, ids: list[int]) -> None:
-        pass
-
 
 class NpoPolicy(Policy):
+    """Greedy non-push-out admission, FIFO processing."""
+
     name = "npo"
 
     def on_arrival(self, state, packet):
-        return npo_on_arrival(state, packet)
+        """Accept iff there is space."""
+        return DROP if state.is_full() else ACCEPT
 
     def select_processing(self, state, cores):
-        return po_select_processing(state, cores)
+        """The first min(C, occupancy) packets."""
+        return [p.id for p in state.queue[:cores]]
 
 
-class PoPolicy(Policy):
+class PoPolicy(NpoPolicy):
+    """Greedy push-out admission, FIFO processing."""
+
     name = "po"
+    spared: frozenset[int] | set[int] = frozenset()  # ids the victim search skips (lpo_p only)
 
     def on_arrival(self, state, packet):
-        return po_on_arrival(state, packet)
+        """Accept iff there is space; on a full buffer, push out the first
+        maximal-residual packet iff the arrival needs strictly less work."""
+        if not state.is_full():
+            return ACCEPT
+        victim = None
+        for p in state.queue:
+            if p.id not in self.spared and (victim is None or p.residual_work > victim.residual_work):
+                victim = p
+        if victim is not None and packet.required_work < victim.residual_work:
+            return push_out(victim.id)
+        return DROP
 
-    def select_processing(self, state, cores):
-        return po_select_processing(state, cores)
 
+class LpoPolicy(PoPolicy):
+    """Lazy push-out: fill grinds residuals down to one cycle, then the whole
+    buffer is marked and drained.  Admission is po's in both phases; a marked
+    packet has one cycle left, so no arrival undercuts it as a victim."""
 
-class LpoPolicy(Policy):
     name = "lpo"
 
     def __init__(self):
-        self.mode = LpoMode.FILL
-        self._gate_open = False
-
-    def on_arrival(self, state, packet):
-        return po_on_arrival(state, packet)  # same rule in fill and drain
+        self.draining: set[int] = set()  # marked ids not yet selected
 
     def select_processing(self, state, cores):
-        ids, gate, self.mode = lpo_select_processing(state, self.mode, cores)
-        self._gate_open = gate
-        return ids
-
-    def may_transmit(self, state, packet):
-        return self._gate_open and packet.marked
+        """Fill selects the first packets with residual > 1.  When every
+        buffered packet is down to one cycle, the buffer is marked and drain
+        selects the first marked packets, never an unmarked one; fill resumes
+        once every marked packet has left."""
+        queue = state.queue
+        if not self.draining and queue and all(p.residual_work == 1 for p in queue):
+            self.draining = {p.id for p in queue}
+        if self.draining:
+            ids = [p.id for p in queue if p.id in self.draining][:cores]
+            self.draining.difference_update(ids)  # one cycle left: they leave this slot
+            return ids
+        return [p.id for p in queue if p.residual_work > 1][:cores]
 
 
 class LpoPPolicy(LpoPolicy):
+    """Lazy push-out that never evicts a packet selected in the most recent
+    processing phase."""
+
     name = "lpo_p"
 
-    def __init__(self):
-        super().__init__()
-        self.in_process: set[int] = set()
-
-    def on_arrival(self, state, packet):
-        return lpo_p_on_arrival(state, packet, self.in_process)
-
-    def note_processed(self, ids):
-        self.in_process = set(ids)
+    def select_processing(self, state, cores):
+        ids = super().select_processing(state, cores)
+        self.spared = set(ids)
+        return ids
 
 
-class SrptPolicy(Policy):
+class SrptPolicy(PoPolicy):
     """Push-out reference: shortest-residual processing, not FIFO-constrained."""
 
     name = "srpt"
 
-    def on_arrival(self, state, packet):
-        return po_on_arrival(state, packet)
-
     def select_processing(self, state, cores):
-        return srpt_select_processing(state, cores)
+        """The C smallest residuals; the stable sort breaks ties by admission order."""
+        return [p.id for p in sorted(state.queue, key=lambda p: p.residual_work)[:cores]]
 
 
 POLICY_IDS = ("npo", "po", "lpo", "lpo_p", "srpt")

@@ -28,6 +28,11 @@ def test_simulate_missing_file_names_path(capsys):
     assert "/no/such/file.jsonl" in capsys.readouterr().err
 
 
+def test_simulate_directory_trace_names_path(tmp_path, capsys):
+    assert main(["simulate", "--trace", str(tmp_path), "--policy", "po", "--buffer", "4"]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_gen_and_simulate_round_trip(tmp_path, capsys):
     out = tmp_path / "kgeb.jsonl"
     assert main([
@@ -65,6 +70,13 @@ def test_gen_mmpp(tmp_path, capsys):
     assert header["k"] == 3 and header["generator"] == "mmpp"
 
 
+def test_gen_unwritable_out_names_path(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "x.jsonl"):
+        code = main(["gen", "--mmpp", "--slots", "50", "--k", "3", "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
+
 def test_gen_rejects_bad_construction_params(capsys):
     code = main(["gen", "--construction", "KGEB", "--buffer", "10", "--k", "3", "--out", "/tmp/x"])
     assert code == 2
@@ -88,6 +100,19 @@ def test_sweep_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "sw_results.csv").exists()
     assert (tmp_path / "sw_manifest.json").exists()
     assert (tmp_path / "sw_srpt.dat").exists()
+
+
+def test_sweep_missing_out_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    import fifosim.cli
+
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before the --out check")
+
+    monkeypatch.setattr(fifosim.cli, "sweep", no_sweep)
+    prefix = str(tmp_path / "missing" / "k_")
+    code = main(["sweep", "--param", "k", "--range", "1:2", "--slots", "100", "--runs", "1", "--out", prefix])
+    assert code == 2
+    assert prefix in capsys.readouterr().err
 
 
 def test_sweep_bad_range(capsys):

@@ -1,8 +1,21 @@
 """Engine behaviour: phase order, drain to empty, accounting, determinism."""
 
+import itertools
+
 import pytest
 
-from fifosim import ACCEPT, Policy, SimulationError, Trace, TraceError, UnknownPolicyError, push_out, run
+from fifosim import (
+    ACCEPT,
+    MmppParams,
+    Policy,
+    SimulationError,
+    Trace,
+    TraceError,
+    UnknownPolicyError,
+    gen_mmpp,
+    push_out,
+    run,
+)
 
 from conftest import make_trace, replay_event_log
 
@@ -75,16 +88,9 @@ def test_bad_dimensions_rejected():
 
 def test_determinism_identical_event_logs():
     trace = make_trace([(1, [3, 1, 2]), (2, [2, 2]), (5, [1, 4])])
-    a = run(trace, "po", 3, 2, record_events=True, record_occupancy=True)
-    b = run(trace, "po", 3, 2, record_events=True, record_occupancy=True)
+    a = run(trace, "po", 3, 2, record_events=True)
+    b = run(trace, "po", 3, 2, record_events=True)
     assert a.events == b.events
-    assert a.occupancy_series == b.occupancy_series
-
-
-def test_occupancy_series_bounded():
-    trace = make_trace([(1, [2] * 9), (3, [1] * 7)])
-    result = run(trace, "po", 4, 1, record_occupancy=True)
-    assert max(result.occupancy_series) <= 4
 
 
 def test_conservation_counters():
@@ -109,6 +115,16 @@ def test_event_log_replay_validates_structure():
         replay_event_log(trace, result, 3, 2)
 
 
+def counters(result):
+    return (
+        result.transmitted_count,
+        result.dropped_count,
+        result.pushout_count,
+        result.admitted_count,
+        result.final_slot,
+    )
+
+
 def test_fast_and_general_paths_agree(rng):
     # the sweeps' range: B 1..40, C 1..10, k up to 40; the fixed pairs cover
     # B = 1 and C > B, and ~120 packets over 15 slots fill a 40-packet buffer
@@ -121,19 +137,17 @@ def test_fast_and_general_paths_agree(rng):
         for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
             fast = run(trace, pol, B, C)
             slow = run(trace, pol, B, C, record_events=True)
-            assert (
-                fast.transmitted_count,
-                fast.dropped_count,
-                fast.pushout_count,
-                fast.admitted_count,
-                fast.final_slot,
-            ) == (
-                slow.transmitted_count,
-                slow.dropped_count,
-                slow.pushout_count,
-                slow.admitted_count,
-                slow.final_slot,
-            ), (pol, B, C, trace.slots, trace.works)
+            assert counters(fast) == counters(slow), (pol, B, C, trace.slots, trace.works)
+
+
+def test_fast_and_general_paths_agree_at_sweep_scale():
+    # one sweep-shaped trace (k = 5, B = 10) at half a sweep cell's length,
+    # on the C-sweep's single- and multi-core branches
+    trace = gen_mmpp(MmppParams(k=5), 100_000, seed=2024)
+    for pol, cores in itertools.product(("npo", "po", "lpo", "lpo_p", "srpt"), (1, 5)):
+        fast = run(trace, pol, 10, cores, validate=False)
+        slow = run(trace, pol, 10, cores, record_events=True, validate=False)
+        assert counters(fast) == counters(slow), (pol, cores)
 
 
 def test_lpo_holds_finished_packets_until_drain():

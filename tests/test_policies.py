@@ -1,29 +1,12 @@
-"""Decision-function checks, one per documented behaviour."""
+"""Policy decision checks through ``make_policy(<id>)``, one per documented behaviour."""
 
 import pytest
 
-from fifosim import (
-    ACCEPT,
-    DROP,
-    BufferState,
-    LpoMode,
-    Packet,
-    UnknownPolicyError,
-    lpo_p_on_arrival,
-    lpo_select_processing,
-    make_policy,
-    npo_on_arrival,
-    po_on_arrival,
-    po_select_processing,
-    srpt_select_processing,
-)
+from fifosim import ACCEPT, DROP, BufferState, Packet, UnknownPolicyError, make_policy
 
 
-def state_of(residuals, capacity, marked=()):
-    queue = [
-        Packet(i + 1, 1, max(r, 1), r, marked=(i in marked))
-        for i, r in enumerate(residuals)
-    ]
+def state_of(residuals, capacity):
+    queue = [Packet(i + 1, 1, max(r, 1), r) for i, r in enumerate(residuals)]
     return BufferState(capacity=capacity, queue=queue)
 
 
@@ -34,118 +17,136 @@ def pkt(work, pid=99):
 # --- non-push-out admission ---
 
 def test_npo_accepts_when_space():
-    assert npo_on_arrival(state_of([2, 2, 2], 4), pkt(9)) is ACCEPT
+    assert make_policy("npo").on_arrival(state_of([2, 2, 2], 4), pkt(9)) is ACCEPT
 
 
 def test_npo_drops_when_full_even_for_light_packet():
     state = state_of([10, 10, 10, 10], 4)
-    assert npo_on_arrival(state, pkt(1)) is DROP
+    assert make_policy("npo").on_arrival(state, pkt(1)) is DROP
 
 
 def test_npo_accepts_into_empty_buffer():
-    assert npo_on_arrival(state_of([], 1), pkt(5)) is ACCEPT
+    assert make_policy("npo").on_arrival(state_of([], 1), pkt(5)) is ACCEPT
 
 
 # --- eager push-out admission ---
 
 def test_po_pushes_out_first_maximal():
     state = state_of([3, 5, 2], 3)
-    decision = po_on_arrival(state, pkt(4))
+    decision = make_policy("po").on_arrival(state, pkt(4))
     assert decision.is_pushout and decision.victim_id == 2  # the 5
 
 
 def test_po_drop_on_equal_work():
-    assert po_on_arrival(state_of([3, 5, 2], 3), pkt(5)) is DROP
+    assert make_policy("po").on_arrival(state_of([3, 5, 2], 3), pkt(5)) is DROP
 
 
 def test_po_tie_breaks_towards_head():
-    decision = po_on_arrival(state_of([4, 4, 1], 3), pkt(3))
+    decision = make_policy("po").on_arrival(state_of([4, 4, 1], 3), pkt(3))
     assert decision.is_pushout and decision.victim_id == 1
 
 
 def test_po_accepts_when_not_full():
-    assert po_on_arrival(state_of([9], 2), pkt(9)) is ACCEPT
+    assert make_policy("po").on_arrival(state_of([9], 2), pkt(9)) is ACCEPT
 
 
 def test_po_selects_fifo_prefix():
-    assert po_select_processing(state_of([2, 1, 3], 5), 1) == [1]
-    assert po_select_processing(state_of([2, 1, 3], 5), 2) == [1, 2]
-    assert po_select_processing(state_of([], 5), 3) == []
+    po = make_policy("po")
+    assert po.select_processing(state_of([2, 1, 3], 5), 1) == [1]
+    assert po.select_processing(state_of([2, 1, 3], 5), 2) == [1, 2]
+    assert po.select_processing(state_of([], 5), 3) == []
 
 
 # --- lazy push-out ---
 
 def test_lpo_marked_ones_never_pushed_out():
-    state = state_of([1, 1], 2, marked={0, 1})
-    assert make_policy("lpo").on_arrival(state, pkt(1)) is DROP
+    lpo = make_policy("lpo")
+    state = state_of([1, 1], 2)
+    lpo.select_processing(state, 1)  # marks both
+    assert lpo.on_arrival(state, pkt(1)) is DROP
 
 
 def test_lpo_drain_mode_pushout_of_unmarked():
-    state = state_of([1, 1, 4], 3, marked={0, 1})
-    decision = make_policy("lpo").on_arrival(state, pkt(2))
+    lpo = make_policy("lpo")
+    state = state_of([1, 1], 3)
+    lpo.select_processing(state, 1)  # marks both, drains packet 1
+    state.queue.append(Packet(3, 2, 4, 4))
+    decision = lpo.on_arrival(state, pkt(2))
     assert decision.is_pushout and decision.victim_id == 3
 
 
 def test_lpo_fill_skips_single_cycle_packets():
-    state = state_of([1, 1, 3], 5)
-    ids, gate, mode = lpo_select_processing(state, LpoMode.FILL, 1)
-    assert ids == [3] and gate is False and mode is LpoMode.FILL
+    assert make_policy("lpo").select_processing(state_of([1, 1, 3], 5), 1) == [3]
 
 
 def test_lpo_marks_and_drains_when_all_single_cycle():
+    lpo = make_policy("lpo")
     state = state_of([1, 1], 5)
-    ids, gate, mode = lpo_select_processing(state, LpoMode.FILL, 1)
-    assert mode is LpoMode.DRAIN and gate is True
-    assert ids == [1]
-    assert all(p.marked for p in state.queue)
+    assert lpo.select_processing(state, 1) == [1]
+    del state.queue[0]  # packet 1 leaves at zero residual
+    state.queue.append(Packet(3, 2, 1, 1))  # an unmarked newcomer at one cycle
+    assert lpo.select_processing(state, 5) == [2]  # still draining the marked packet
 
 
 def test_lpo_drain_ignores_unmarked_even_with_idle_cores():
-    state = state_of([1, 5], 5, marked={0})
-    ids, gate, mode = lpo_select_processing(state, LpoMode.DRAIN, 2)
-    assert ids == [1] and mode is LpoMode.DRAIN
+    lpo = make_policy("lpo")
+    state = state_of([1, 1], 5)
+    lpo.select_processing(state, 1)  # marks both, drains packet 1
+    del state.queue[0]
+    state.queue.append(Packet(3, 2, 5, 5))
+    assert lpo.select_processing(state, 2) == [2]
 
 
 def test_lpo_drain_reverts_to_fill_when_marked_exhausted():
-    state = state_of([4, 2], 5)
-    ids, gate, mode = lpo_select_processing(state, LpoMode.DRAIN, 1)
-    assert mode is LpoMode.FILL and ids == [1] and gate is False
+    lpo = make_policy("lpo")
+    state = state_of([1], 5)
+    assert lpo.select_processing(state, 1) == [1]  # marks and drains packet 1
+    state.queue[:] = [Packet(2, 2, 4, 4), Packet(3, 2, 2, 2)]
+    assert lpo.select_processing(state, 1) == [2]
 
 
 # --- lazy push-out sparing in-process packets ---
 
 def test_lpo_p_skips_in_process_victim():
+    lpo_p = make_policy("lpo_p")
     state = state_of([7, 5, 5], 3)
-    decision = lpo_p_on_arrival(state, pkt(4), in_process={1})
-    assert decision.is_pushout and decision.victim_id == 2  # first 5, not the 7
+    assert lpo_p.select_processing(state, 1) == [1]
+    state.queue[0].residual_work -= 1
+    decision = lpo_p.on_arrival(state, pkt(4))
+    assert decision.is_pushout and decision.victim_id == 2  # first 5, not the 6
 
 
 def test_lpo_p_drops_when_only_victim_is_in_process():
+    lpo_p = make_policy("lpo_p")
     state = state_of([7], 1)
-    assert lpo_p_on_arrival(state, pkt(1), in_process={1}) is DROP
+    lpo_p.select_processing(state, 1)
+    assert lpo_p.on_arrival(state, pkt(1)) is DROP
 
 
 def test_lpo_p_accepts_when_space():
-    assert lpo_p_on_arrival(state_of([7], 2), pkt(1), in_process={1}) is ACCEPT
+    lpo_p = make_policy("lpo_p")
+    state = state_of([7], 2)
+    lpo_p.select_processing(state, 1)
+    assert lpo_p.on_arrival(state, pkt(1)) is ACCEPT
 
 
 def test_lpo_p_without_in_process_matches_po():
     state = state_of([3, 5, 2], 3)
-    assert lpo_p_on_arrival(state, pkt(4), in_process=set()) == po_on_arrival(state, pkt(4))
+    assert make_policy("lpo_p").on_arrival(state, pkt(4)) == make_policy("po").on_arrival(state, pkt(4))
 
 
 # --- shortest-residual reference ---
 
 def test_srpt_processes_smallest_residual():
-    assert srpt_select_processing(state_of([3, 1, 2], 5), 1) == [2]
+    assert make_policy("srpt").select_processing(state_of([3, 1, 2], 5), 1) == [2]
 
 
 def test_srpt_tie_breaks_by_admission_order():
-    assert srpt_select_processing(state_of([2, 2], 5), 1) == [1]
+    assert make_policy("srpt").select_processing(state_of([2, 2], 5), 1) == [1]
 
 
 def test_srpt_selects_c_smallest():
-    assert srpt_select_processing(state_of([3, 1, 2], 5), 2) == [2, 3]
+    assert make_policy("srpt").select_processing(state_of([3, 1, 2], 5), 2) == [2, 3]
 
 
 def test_srpt_admission_strictness():
