@@ -5,7 +5,8 @@ C in {1, 5, 10} on one seeded 2000-slot ON-OFF trace per k, run on both the
 fast path and the event-logging path.  The construction rows hold the target
 and comparator counters of every construction at its golden-suite and
 constructions-suite settings; a "reference" comparator is the replay of its
-accept mask.  The trace rows pin the generated traffic to the bytes of its
+accept mask.  The trace rows pin the generated traffic, and the
+construction-trace rows every construction setting, to the bytes of its
 JSON-lines file.
 
 Re-record (only when a behaviour change is intended) with
@@ -74,16 +75,23 @@ def _mmpp(k: int):
     return gen_mmpp(MmppParams(k=k), SLOTS, seed=k)
 
 
-def trace_rows() -> list[dict]:
-    rows = []
+def _file_row(trace) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        for k in KS:
-            trace = _mmpp(k)
-            path = os.path.join(tmp, f"k{k}.jsonl")
-            write_trace(trace, path)
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            rows.append({"k": k, "packets": trace.packet_count, "sha256": digest})
-    return rows
+        path = os.path.join(tmp, "trace.jsonl")
+        write_trace(trace, path)
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return {"packets": trace.packet_count, "sha256": digest}
+
+
+def trace_rows() -> list[dict]:
+    return [{"k": k, **_file_row(_mmpp(k))} for k in KS]
+
+
+def construction_trace_rows() -> list[dict]:
+    return [
+        {"construction": name, **kw, **_file_row(gen_adversarial(name, **kw).trace)}
+        for name, kw in CONSTRUCTIONS
+    ]
 
 
 def engine_rows(k: int) -> list[dict]:
@@ -118,6 +126,7 @@ def record() -> dict:
         "traces": trace_rows(),
         "engine": [row for k in KS for row in engine_rows(k)],
         "constructions": [row for name, kw in CONSTRUCTIONS for row in construction_rows(name, kw)],
+        "construction_traces": construction_trace_rows(),
     }
 
 
@@ -128,6 +137,10 @@ def golden():
 
 def test_generated_traces_match_goldens(golden):
     assert trace_rows() == golden["traces"]
+
+
+def test_construction_traces_match_goldens(golden):
+    assert construction_trace_rows() == golden["construction_traces"]
 
 
 @pytest.mark.parametrize("k", KS)
