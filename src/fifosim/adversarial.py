@@ -14,6 +14,7 @@ the trace metadata under ``rounding``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trace import Trace
 
@@ -37,12 +38,24 @@ class AdversarialTrace:
     comparator: str                 # policy id or "reference" (analytic schedule)
 
 
+class _Schedule(NamedTuple):
+    """What a builder returns: one period of arrivals and its claims."""
+
+    period: dict[int, list[int]]    # slot -> works offered in that slot, in order
+    length: int                     # slots per period
+    claimed: dict[str, float]       # per-period throughput of each policy
+    notes: list[str] = []           # inexact divisions, recorded as "rounding"
+    rejects: set[int] | None = None  # works the reference schedule rejects
+    copies: int | None = None       # None: one copy per period
+    claimed_total: dict[str, int] | None = None  # None: claimed times periods
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConstructionError(message)
 
 
-def _po_vs_lpo(B: int, k: int | None):
+def _po_vs_lpo(B: int, k: int | None, **_) -> _Schedule:
     # burst of B work-2 packets, then B work-1 packets once the eager policy
     # has finished half the heavy burst; the lazy policy is still holding all
     # of its buffer and captures at most one of the light packets.
@@ -52,10 +65,10 @@ def _po_vs_lpo(B: int, k: int | None):
     period = {1: [2] * B, B + 1: [1] * B}
     claimed = {"po": B + B // 2, "lpo": B}
     notes = [] if B % 2 == 0 else ["B/2 floored"]
-    return period, 2 * B, claimed, 2, notes, None
+    return _Schedule(period, 2 * B, claimed, notes)
 
 
-def _lpo_vs_po(B: int, k: int | None):
+def _lpo_vs_po(B: int, k: int | None, **_) -> _Schedule:
     # after a shared work-2 burst the eager policy takes heavy work-k packets
     # that the lazy policy's full buffer rejects; the heavies then clog the
     # eager queue while two light waves and a final burst feed the lazy one.
@@ -72,36 +85,34 @@ def _lpo_vs_po(B: int, k: int | None):
     }
     claimed = {"lpo": 2 * B + half, "po": 2 * B}
     notes = [] if B % 2 == 0 else ["B/2 floored"]
-    return period, period_len, claimed, k, notes, None
+    return _Schedule(period, period_len, claimed, notes)
 
 
-def _npo_tight(B: int, k: int | None, C: int, iterations: int):
+def _npo_tight(B: int, k: int | None, C: int, periods: int, **_) -> _Schedule:
     # the greedy non-push-out queue is seeded full of work-k packets; each
     # iteration feeds it C fresh work-k packets the moment space frees and
     # k slots of C work-1 packets that it must drop while full.  The closing
-    # burst of B refills both buffers.
+    # burst of B refills both buffers.  ``periods`` counts iterations inside
+    # this one sequence, so it is generated once and claims its own total.
     _require(k is not None, "NPO_TIGHT needs k")
     _require(k >= 2, "NPO_TIGHT needs k >= 2")
-    _require(B >= C, "NPO_TIGHT needs B >= C")
-    _require(iterations >= 1, "NPO_TIGHT needs at least one iteration")
-    period: dict[int, list[int]] = {1: [k] * B}
-    for i in range(2, iterations + 1):
+    _require(1 <= C <= B, "NPO_TIGHT needs 1 <= C <= B")
+    period: dict[int, list[int]] = {}
+    for i in range(1, periods + 1):
         start = (i - 1) * k + 1
-        # the fresh work-k packets are offered before the overlapping
-        # work-1 batch so they take the freed space
-        period[start] = [k] * C + [1] * C
-    for i in range(1, iterations + 1):
-        start = (i - 1) * k + 1
+        # the seed fills the queue; later, the fresh work-k packets are
+        # offered before the overlapping work-1 batch so they take the freed space
+        period[start] = [k] * B if i == 1 else [k] * C + [1] * C
         for s in range(start + 1, start + k):
-            period.setdefault(s, []).extend([1] * C)
-    period[iterations * k + 1] = [1] * C
-    period[iterations * k + 2] = [1] * B
+            period[s] = [1] * C
+    period[periods * k + 1] = [1] * C
+    period[periods * k + 2] = [1] * B
     claimed = {"npo": float(C), "reference": float(k * C)}
-    claimed_total = {"npo": iterations * C + B, "reference": iterations * k * C + B}
-    return period, iterations * k + 2, claimed, claimed_total
+    claimed_total = {"npo": periods * C + B, "reference": periods * k * C + B}
+    return _Schedule(period, periods * k + 2, claimed, rejects={k}, copies=1, claimed_total=claimed_total)
 
 
-def _kgeb(B: int, k: int | None):
+def _kgeb(B: int, k: int | None, **_) -> _Schedule:
     # one work-B packet pins the head of the queue while singles trickle in;
     # the burst at slot B-1 arrives when only one space ever frees.  B = 2
     # collapses the whole schedule into slot 1, so it is excluded.
@@ -112,10 +123,10 @@ def _kgeb(B: int, k: int | None):
         period[s] = [1]
     period.setdefault(B - 1, []).extend([1] * B)
     claimed = {"po": B, "lpo": B, "reference": 2 * B - 2}
-    return period, 2 * B - 2, claimed, B, [], {B}
+    return _Schedule(period, 2 * B - 2, claimed, rejects={B})
 
 
-def _po_kltb(B: int, k: int | None):
+def _po_kltb(B: int, k: int | None, **_) -> _Schedule:
     # heavy prefix plus a light block; geometric light refills land exactly
     # when the reference queue empties, keeping the eager queue full until
     # it is all work-1 packets, then a burst of B that it must drop.
@@ -124,13 +135,10 @@ def _po_kltb(B: int, k: int | None):
     a0 = (k - 1) * B // k
     heavy = B - a0
     refills: list[int] = []
-    i = 1
-    while True:
-        n_i = (k - 1) * B // k ** (i + 1)
-        if n_i < 1:
-            break
-        refills.append(n_i)
-        i += 1
+    power = k * k
+    while (k - 1) * B >= power:  # the i-th refill (k-1)*B // k**(i+1) is >= 1
+        refills.append((k - 1) * B // power)
+        power *= k
     period: dict[int, list[int]] = {1: [k] * heavy + [1] * a0}
     slot = 1 + a0
     for n_i in refills:
@@ -141,13 +149,11 @@ def _po_kltb(B: int, k: int | None):
     period[burst_slot] = [1] * B
     period_len = burst_slot + B - 1
     claimed = {"po": heavy + B, "reference": a0 + sum(refills) + B}
-    notes = []
-    if (k - 1) * B % k:
-        notes.append("alpha*B floored")
-    return period, period_len, claimed, k, notes, {k}
+    notes = ["alpha*B floored"] if (k - 1) * B % k else []
+    return _Schedule(period, period_len, claimed, notes, {k})
 
 
-def _lpo_kltb(B: int, k: int | None):
+def _lpo_kltb(B: int, k: int | None, **_) -> _Schedule:
     # heavy prefix plus lights; a second light wave pushes heavies out of the
     # full lazy buffer while fill processing converts the rest, so the final
     # burst of B meets a buffer of work-1 packets and is dropped entirely.
@@ -163,13 +169,12 @@ def _lpo_kltb(B: int, k: int | None):
         a + b + 1: [1] * B,
     }
     claimed = {"lpo": B, "reference": a + b + B}
-    notes = []
-    if (k - 1) * B % (2 * k):
-        notes.append("alpha*B floored; split alpha = beta = (k-1)/(2k)")
-    return period, a + b + B, claimed, k, notes, {k}
+    floored = (k - 1) * B % (2 * k)
+    notes = ["alpha*B floored; split alpha = beta = (k-1)/(2k)"] if floored else []
+    return _Schedule(period, a + b + B, claimed, notes, {k})
 
 
-def _log_recursive(B: int, level: int):
+def _log_recursive(B: int, k: int | None, level: int | None, **_) -> _Schedule:
     # nested escalation: each level holds one huge head packet plus a ladder
     # of B-1 lights, all heavier than everything in the next level down, so
     # each level's burst evicts the previous ladder wholesale.  At the bottom,
@@ -178,15 +183,15 @@ def _log_recursive(B: int, level: int):
     # evicts one light and the eager policy transmits nothing but heads.
     # The ladder works are 2+S..B+S so the reference finishes them, then the
     # floods, before the closing burst of B; sum(2..B) + B <= heavy + 1
-    # requires B >= 8.
+    # requires B >= 8.  ``level`` defaults to 0.
+    level = 0 if level is None else level
     _require(B >= 8, "LOG_RECURSIVE needs B >= 8")
     _require(level >= 0, "LOG_RECURSIVE needs level >= 0")
-    shifts = []
-    shift = 0
+    # the heavy of each level is the next level's shift
+    shifts = [0]
     for _ in range(level + 1):
-        shifts.append(shift)
-        shift = (B - 1) * (B - 2 + shift)
-    heavies = [(B - 1) * (B - 2 + s) for s in shifts]
+        shifts.append((B - 1) * (B - 2 + shifts[-1]))
+    heavies = shifts[1:]
     period: dict[int, list[int]] = {}
     offset = 0
     for j in range(level, -1, -1):
@@ -203,29 +208,21 @@ def _log_recursive(B: int, level: int):
         "po": B + level + 1,
         "reference": level * (B - 1) + 3 * B - 2,
     }
-    return period, offset + B, claimed, heavies[-1], [], set(heavies)
+    _require(k is None or k >= heavies[-1], f"LOG_RECURSIVE level {level} needs k >= {heavies[-1]}")
+    return _Schedule(period, offset + B, claimed, rejects=set(heavies))
 
 
-CONSTRUCTIONS = (
-    "PO_VS_LPO",
-    "LPO_VS_PO",
-    "NPO_TIGHT",
-    "KGEB",
-    "PO_KLTB",
-    "LPO_KLTB",
-    "LOG_RECURSIVE",
-)
-
-# (target policy the construction penalises, comparator it is measured against)
-_TARGETS = {
-    "PO_VS_LPO": ("lpo", "po"),
-    "LPO_VS_PO": ("po", "lpo"),
-    "NPO_TIGHT": ("npo", "reference"),
-    "KGEB": ("po", "reference"),
-    "PO_KLTB": ("po", "reference"),
-    "LPO_KLTB": ("lpo", "reference"),
-    "LOG_RECURSIVE": ("po", "reference"),
+# name -> (builder, target policy it penalises, comparator it is measured against)
+_TABLE = {
+    "PO_VS_LPO": (_po_vs_lpo, "lpo", "po"),
+    "LPO_VS_PO": (_lpo_vs_po, "po", "lpo"),
+    "NPO_TIGHT": (_npo_tight, "npo", "reference"),
+    "KGEB": (_kgeb, "po", "reference"),
+    "PO_KLTB": (_po_kltb, "po", "reference"),
+    "LPO_KLTB": (_lpo_kltb, "lpo", "reference"),
+    "LOG_RECURSIVE": (_log_recursive, "po", "reference"),
 }
+CONSTRUCTIONS = tuple(_TABLE)
 
 
 def gen_adversarial(
@@ -244,57 +241,47 @@ def gen_adversarial(
     NPO_TIGHT were derived for a single core and refuse C != 1.
     """
     name = construction.upper()
-    if name not in CONSTRUCTIONS:
+    if name not in _TABLE:
         raise ConstructionError(
             f"unknown construction {construction!r}; expected one of {', '.join(CONSTRUCTIONS)}"
         )
-    _require(B >= 1, "B must be >= 1")
-    _require(C >= 1, "C must be >= 1")
     _require(periods >= 1, "periods must be >= 1")
-    if name != "NPO_TIGHT":
-        _require(C == 1, f"{name} is defined for C = 1 only")
+    _require(C == 1 or name == "NPO_TIGHT", f"{name} is defined for C = 1 only")
+    build, target, comparator = _TABLE[name]
+    sched = build(B=B, k=k, C=C, periods=periods, level=level)
+    copies = sched.copies or periods
+    claimed_total = sched.claimed_total or {pol: int(v) * periods for pol, v in sched.claimed.items()}
 
-    notes: list[str] = []
-    if name == "PO_VS_LPO":
-        period, period_len, claimed, nat_k, notes, rejects = _po_vs_lpo(B, k)
-    elif name == "LPO_VS_PO":
-        period, period_len, claimed, nat_k, notes, rejects = _lpo_vs_po(B, k)
-    elif name == "KGEB":
-        period, period_len, claimed, nat_k, notes, rejects = _kgeb(B, k)
-    elif name == "PO_KLTB":
-        period, period_len, claimed, nat_k, notes, rejects = _po_kltb(B, k)
-    elif name == "LPO_KLTB":
-        period, period_len, claimed, nat_k, notes, rejects = _lpo_kltb(B, k)
-    elif name == "LOG_RECURSIVE":
-        lvl = 0 if level is None else level
-        period, period_len, claimed, nat_k, notes, rejects = _log_recursive(B, lvl)
-        _require(k is None or k >= nat_k, f"LOG_RECURSIVE level {lvl} needs k >= {nat_k}")
-    else:  # NPO_TIGHT: periods counts iterations inside one sequence
-        period, period_len, claimed, claimed_total = _npo_tight(B, k, C, periods)
-        trace = _tile(period, period_len, 1, k, name, B, C, periods, level, claimed, claimed_total, notes, {k})
-        return AdversarialTrace(
-            construction=name,
-            params={"B": B, "k": k, "C": C, "iterations": periods},
-            trace=trace,
-            period_length=period_len,
-            periods=periods,
-            claimed=claimed,
-            claimed_total=claimed_total,
-            target="npo",
-            comparator="reference",
-        )
-
-    claimed_total = {pol: int(v) * periods for pol, v in claimed.items()}
-    declared_k = nat_k
-    trace = _tile(period, period_len, periods, declared_k, name, B, C, periods, level, claimed, claimed_total, notes, rejects)
-    target, comparator = _TARGETS[name]
+    order = sorted(sched.period)
+    slots = [c * sched.length + s for c in range(copies) for s in order for _ in sched.period[s]]
+    works = [w for _ in range(copies) for s in order for w in sched.period[s]]
+    meta = {
+        "construction": name,
+        "B": B,
+        "C": C,
+        "periods": periods,
+        "period_length": sched.length,
+        "claimed": sched.claimed,
+        "claimed_total": claimed_total,
+    }
+    if level is not None:
+        meta["level"] = level
+    if sched.notes:
+        meta["rounding"] = sched.notes
+    if sched.rejects is not None:
+        meta["reference_reject_works"] = sorted(sched.rejects)
     return AdversarialTrace(
         construction=name,
         params={"B": B, "k": k, "C": C, "periods": periods, "level": level},
-        trace=trace,
-        period_length=period_len,
+        trace=Trace(
+            slots=slots,
+            works=works,
+            k_declared=max(works),
+            metadata={"generator": "adversarial", "seed": 0, "params": meta},
+        ),
+        period_length=sched.length,
         periods=periods,
-        claimed=claimed,
+        claimed=sched.claimed,
         claimed_total=claimed_total,
         target=target,
         comparator=comparator,
@@ -313,30 +300,3 @@ def reference_accept_mask(adv: AdversarialTrace) -> tuple[bool, ...] | None:
         return None
     reject_set = set(rejects)
     return tuple(work not in reject_set for work in adv.trace.works)
-
-
-def _tile(period, period_len, copies, declared_k, name, B, C, periods, level, claimed, claimed_total, notes, rejects=None):
-    order = sorted(period)
-    slots = [copy * period_len + s for copy in range(copies) for s in order for _ in period[s]]
-    works = [w for _ in range(copies) for s in order for w in period[s]]
-    params = {
-        "construction": name,
-        "B": B,
-        "C": C,
-        "periods": periods,
-        "period_length": period_len,
-        "claimed": claimed,
-        "claimed_total": claimed_total,
-    }
-    if level is not None:
-        params["level"] = level
-    if notes:
-        params["rounding"] = notes
-    if rejects is not None:
-        params["reference_reject_works"] = sorted(rejects)
-    return Trace(
-        slots=slots,
-        works=works,
-        k_declared=declared_k if declared_k else max(works, default=0),
-        metadata={"generator": "adversarial", "seed": 0, "params": params},
-    )

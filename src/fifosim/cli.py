@@ -17,7 +17,7 @@ from .policies import POLICY_IDS, UnknownPolicyError
 from .sweep import SWEEPABLE, SweepConfig, emit_plot_data, sweep, write_results_csv
 from .trace import TraceError, read_trace, write_trace
 from .traffic import MmppParams, gen_mmpp
-from .verify import constructions_suite, golden_suite, verify_micro
+from .verify import C_SWEEP, K_SWEEP, constructions_suite, golden_suite, sweep_reproduction_reports, verify_micro
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,8 +188,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
+        return 2
     if args.suite == "golden":
-        reports = golden_suite(with_sweeps=True)
+        reports = golden_suite() + sweep_reproduction_reports(sweep(K_SWEEP), sweep(C_SWEEP))
     elif args.suite == "micro":
         reports = [verify_micro(count=args.count, seed=args.seed)]
     else:

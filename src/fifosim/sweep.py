@@ -51,6 +51,11 @@ class SweepConfig:
             raise ValueError("sweep needs a non-empty value range")
         if self.slots < 1 or self.runs < 1:
             raise ValueError("slots and runs must be >= 1")
+        for value in self.values:
+            if min(self.point(value)) < 1:
+                raise ValueError(f"k, B and C must be >= 1, got (k, B, C) = {self.point(value)}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policy ids repeat in {self.policies}")
         for pol in tuple(self.policies) + (self.reference,):
             if pol not in POLICY_IDS:
                 raise ValueError(f"unknown policy id {pol!r}")

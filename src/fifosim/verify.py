@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,7 @@ from .adversarial import gen_adversarial, reference_accept_mask
 from .bounds import bound_value
 from .engine import run
 from .oracle import offline_opt_bruteforce, replay_accept_mask
+from .sweep import ResultTable, SweepConfig, sweep, write_results_csv
 from .trace import Trace
 
 
@@ -64,9 +66,7 @@ def verify_construction(
     else:
         comp_total = run(adv.trace, adv.comparator, B, C).transmitted_count
     ratio = comp_total / target_total if target_total else math.inf
-    claimed_target = adv.claimed_total[adv.target]
-    claimed_comp = adv.claimed_total[adv.comparator]
-    claimed_ratio = claimed_comp / claimed_target
+    claimed_ratio = adv.claimed_total[adv.comparator] / adv.claimed_total[adv.target]
 
     name = adv.construction
     measured = {
@@ -207,34 +207,31 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
     )
 
 
-def sweep_reproduction_reports(slots: int = 200_000, runs: int = 5) -> list[VerificationReport]:
-    """Stochastic-reproduction checks on the default sweep configurations.
+# the acceptance sweeps: 40 k-points and 10 C-points, 200 000 slots, 5 runs each
+K_SWEEP = SweepConfig(param="k", values=tuple(range(1, 41)), B=10, C=1)
+C_SWEEP = SweepConfig(param="C", values=tuple(range(1, 11)), k=5, B=10)
 
-    Runs the k-sweep (B=10, C=1) and C-sweep (k=5, B=10) and checks the
-    attainable claims: unit ratios at k=1, eager push-out dominance for
-    k >= 2, ratio standard deviation at most 0.05 everywhere, the
-    non-push-out/lazy crossover in C, and byte-identical CSV repeatability.
-    Takes minutes at the default scale.
+
+def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> list[VerificationReport]:
+    """Stochastic-reproduction checks on a k-sweep and a C-sweep table.
+
+    Checks the attainable claims: unit ratios at k=1, eager push-out
+    dominance for k >= 2, ratio standard deviation at most 0.05 over both
+    tables, the non-push-out/lazy crossover in C, and byte-identical CSV
+    repeatability of a small sweep run twice.  The tables normally come
+    from ``K_SWEEP`` and ``C_SWEEP``, which take minutes.
     """
-    import tempfile
-
-    from .sweep import SweepConfig, sweep, write_results_csv
 
     def series(table, pol):
         return {a.x: a.mean_ratio for a in table.aggregates if a.policy == pol}
 
-    k_table = sweep(
-        SweepConfig(param="k", values=tuple(range(1, 41)), B=10, C=1, slots=slots, runs=runs)
-    )
-    c_table = sweep(
-        SweepConfig(param="C", values=tuple(range(1, 11)), k=5, B=10, slots=slots, runs=runs)
-    )
+    kc, cc = k_table.config, c_table.config
     npo, po, lpo = (series(k_table, p) for p in ("npo", "po", "lpo"))
     at_k1 = min(npo[1], po[1], lpo[1])
-    dominance_violations = [k for k in range(2, 41) if po[k] < npo[k] or po[k] < lpo[k]]
+    dominance_violations = [k for k in kc.values if k >= 2 and (po[k] < npo[k] or po[k] < lpo[k])]
     k_report = VerificationReport(
-        check="k-sweep reproduction (B=10, C=1)",
-        params={"slots": slots, "runs": runs},
+        check=f"k-sweep reproduction (B={kc.B}, C={kc.C})",
+        params={"slots": kc.slots, "runs": kc.runs},
         claimed={"k1_ratio_floor": 0.99, "po_dominates": True},
         measured={"k1_min_ratio": round(at_k1, 4), "violations": dominance_violations},
         tolerance="ratios at k=1 >= 0.99; po >= npo and po >= lpo for k >= 2",
@@ -244,7 +241,7 @@ def sweep_reproduction_reports(slots: int = 200_000, runs: int = 5) -> list[Veri
     max_std = max(a.std_ratio for a in k_table.aggregates + c_table.aggregates)
     std_report = VerificationReport(
         check="ratio standard deviation (default sweep configs)",
-        params={"slots": slots, "runs": runs},
+        params={"slots": kc.slots, "runs": kc.runs},
         claimed={"max_std": 0.05},
         measured={"max_std": round(max_std, 4)},
         tolerance="population std of every ratio <= 0.05",
@@ -253,14 +250,14 @@ def sweep_reproduction_reports(slots: int = 200_000, runs: int = 5) -> list[Veri
 
     npo_c, lpo_c = series(c_table, "npo"), series(c_table, "lpo")
     crossover = next(
-        (c for c in range(1, 11) if all(npo_c[d] >= lpo_c[d] for d in range(c, 11))), None
+        (c for i, c in enumerate(cc.values) if all(npo_c[d] >= lpo_c[d] for d in cc.values[i:])), None
     )
     cross_report = VerificationReport(
-        check="C-sweep crossover (k=5, B=10)",
-        params={"slots": slots, "runs": runs},
-        claimed={"crossover_at_most": 10},
+        check=f"C-sweep crossover (k={cc.k}, B={cc.B})",
+        params={"slots": cc.slots, "runs": cc.runs},
+        claimed={"crossover_at_most": max(cc.values)},
         measured={"crossover": crossover},
-        tolerance="npo >= lpo for every C beyond some C* <= 10",
+        tolerance=f"npo >= lpo for every C beyond some C* <= {max(cc.values)}",
         passed=crossover is not None,
     )
 
@@ -281,13 +278,8 @@ def sweep_reproduction_reports(slots: int = 200_000, runs: int = 5) -> list[Veri
     return [k_report, std_report, cross_report, det_report]
 
 
-def golden_suite(with_sweeps: bool = False) -> list[VerificationReport]:
-    """The six deterministic worst-case checks at their acceptance settings.
-
-    With ``with_sweeps`` the stochastic reproduction checks (including the
-    std <= 0.05 claim on the default sweep configs) are appended; that takes
-    minutes rather than seconds.
-    """
+def golden_suite() -> list[VerificationReport]:
+    """The six deterministic worst-case checks at their acceptance settings."""
     reports = [
         verify_construction("LPO_VS_PO", B=10, k=6, C=1, periods=200),
         verify_construction("PO_VS_LPO", B=10, C=1, periods=200),
@@ -313,10 +305,7 @@ def golden_suite(with_sweeps: bool = False) -> list[VerificationReport]:
             and all(r >= lvl + 0.5 for lvl, r in enumerate(ratios))
         ),
     )
-    out = reports + log_reports + [combined]
-    if with_sweeps:
-        out += sweep_reproduction_reports()
-    return out
+    return reports + log_reports + [combined]
 
 
 def constructions_suite() -> list[VerificationReport]:

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from fifosim import SweepConfig, sweep, verify_construction, verify_micro, write_results_csv
+from fifosim import sweep, verify_construction, verify_micro
 from fifosim.bounds import bound_value
+from fifosim.verify import C_SWEEP, K_SWEEP, sweep_reproduction_reports
 
 _timings: dict[str, float] = {}
 
@@ -120,13 +121,8 @@ def test_c7_oracle_micro_suite():
 
 
 # --- criterion 8: qualitative reproduction of the simulation study ---
-
-K_SWEEP = SweepConfig(
-    param="k", values=tuple(range(1, 41)), B=10, C=1, slots=200_000, runs=5, master_seed=0
-)
-C_SWEEP = SweepConfig(
-    param="C", values=tuple(range(1, 11)), k=5, B=10, slots=200_000, runs=5, master_seed=0
-)
+# The claims of criteria 8a, 8b and 9 are computed once, by
+# verify.sweep_reproduction_reports, on the module-scoped sweep tables.
 
 
 @pytest.fixture(scope="module")
@@ -145,32 +141,29 @@ def c_sweep_table():
     return table
 
 
+@pytest.fixture(scope="module")
+def sweep_reports(k_sweep_table, c_sweep_table):
+    return sweep_reproduction_reports(k_sweep_table, c_sweep_table)
+
+
 def _mean_ratio(table, policy):
     return {agg.x: agg.mean_ratio for agg in table.aggregates if agg.policy == policy}
 
 
-def test_c8_k_sweep(k_sweep_table):
-    npo = _mean_ratio(k_sweep_table, "npo")
-    po = _mean_ratio(k_sweep_table, "po")
-    lpo = _mean_ratio(k_sweep_table, "lpo")
-    at_k1 = min(npo[1], po[1], lpo[1])
-    dominance = [k for k in range(2, 41) if po[k] < npo[k] or po[k] < lpo[k]]
-    max_std = max(agg.std_ratio for agg in k_sweep_table.aggregates)
-    ok = at_k1 >= 0.99 and not dominance and max_std <= 0.05
+def test_c8_k_sweep(sweep_reports):
+    k_rep, std_rep = sweep_reports[:2]
     _line(
         "8a (k-sweep)",
-        ok,
-        f"k=1 ratios >= {at_k1:.4f} (>= 0.99); po dominance violations {dominance}; "
-        f"max std {max_std:.4f} (<= 0.05); {_timings['k_sweep']:.0f}s",
+        k_rep.passed and std_rep.passed,
+        f"k=1 ratios >= {k_rep.measured['k1_min_ratio']} (>= 0.99); "
+        f"po dominance violations {k_rep.measured['violations']}; "
+        f"max std {std_rep.measured['max_std']} over both sweeps (<= 0.05); {_timings['k_sweep']:.0f}s",
     )
 
 
-def test_c8_c_sweep_crossover(c_sweep_table):
-    npo = _mean_ratio(c_sweep_table, "npo")
-    lpo = _mean_ratio(c_sweep_table, "lpo")
-    crossover = next((c for c in range(1, 11) if all(npo[d] >= lpo[d] for d in range(c, 11))), None)
-    ok = crossover is not None and crossover <= 10
-    _line("8b (C-sweep crossover)", ok, f"npo >= lpo for all C >= {crossover}")
+def test_c8_c_sweep_crossover(sweep_reports):
+    rep = sweep_reports[2]
+    _line("8b (C-sweep crossover)", rep.passed, f"npo >= lpo for all C >= {rep.measured['crossover']}")
 
 
 @pytest.mark.xfail(
@@ -208,12 +201,6 @@ def test_c8_runtime_budget(k_sweep_table, c_sweep_table):
 
 # --- criterion 9: byte-identical repeatability ---
 
-def test_c9_sweep_determinism(tmp_path):
-    config = SweepConfig(
-        param="k", values=(1, 5, 9), B=10, C=1, slots=20_000, runs=2, master_seed=7
-    )
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_results_csv(sweep(config), a)
-    write_results_csv(sweep(config), b)
-    ok = a.read_bytes() == b.read_bytes()
-    _line("9 (determinism)", ok, f"identical CSV bytes: {ok}")
+def test_c9_sweep_determinism(sweep_reports):
+    rep = sweep_reports[3]
+    _line("9 (determinism)", rep.passed, f"identical CSV bytes: {rep.measured['identical']}")

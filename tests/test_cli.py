@@ -115,6 +115,25 @@ def test_sweep_missing_out_directory_fails_before_running(tmp_path, capsys, monk
     assert prefix in capsys.readouterr().err
 
 
+def test_sweep_bad_point_or_repeated_policy_is_usage_error(capsys, monkeypatch):
+    import fifosim.cli
+
+    def no_sweep(config):
+        raise AssertionError("the sweep ran on an invalid config")
+
+    monkeypatch.setattr(fifosim.cli, "sweep", no_sweep)
+    base = ["sweep", "--slots", "100", "--runs", "1", "--out", "/tmp/x_"]
+    for extra in (
+        ["--param", "k", "--range", "1:2", "--buffer", "0"],
+        ["--param", "k", "--range", "1:2", "--cores", "0"],
+        ["--param", "k", "--range", "0:3"],
+        ["--param", "C", "--range", "0:2"],
+        ["--param", "k", "--range", "1:2", "--policies", "npo,npo"],
+    ):
+        assert main(base + extra) == 2, extra
+        assert "error" in capsys.readouterr().err
+
+
 def test_sweep_bad_range(capsys):
     assert main(["sweep", "--param", "k", "--range", "5", "--out", "/tmp/x_"]) == 2
 
@@ -124,6 +143,41 @@ def test_verify_micro_exit_zero(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS")
     assert "1/1 checks passed" in out
+
+
+def test_verify_count_below_one_is_usage_error(capsys):
+    for count in ("0", "-3"):
+        assert main(["verify", "--suite", "micro", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert "--count" in captured.err
+        assert captured.out == ""
+
+
+def test_verify_golden_prints_golden_then_sweep_claims(capsys, monkeypatch):
+    import fifosim.cli
+    from fifosim import SweepConfig
+
+    small = dict(slots=2000, runs=2, workers=1)
+    monkeypatch.setattr(fifosim.cli, "K_SWEEP", SweepConfig(param="k", values=(1, 2), B=10, C=1, **small))
+    monkeypatch.setattr(fifosim.cli, "C_SWEEP", SweepConfig(param="C", values=(1, 2), k=5, B=10, **small))
+    code = main(["verify", "--suite", "golden"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    checks, summary = lines[:-1], lines[-1]
+    assert len(checks) == 14
+    assert all(line.startswith(("PASS ", "FAIL ")) for line in checks)
+    assert checks[0].split(":")[0].endswith("LPO_VS_PO B=10 k=6 C=1 periods=200")
+    assert checks[9].split(":")[0].endswith("LOG_RECURSIVE ratio growth (levels 0..2)")
+    sweep_checks = [line.split(":")[0].split(" ", 1)[1] for line in checks[10:]]
+    assert sweep_checks == [
+        "k-sweep reproduction (B=10, C=1)",
+        "ratio standard deviation (default sweep configs)",
+        "C-sweep crossover (k=5, B=10)",
+        "sweep determinism (byte-identical CSV)",
+    ]
+    passed = sum(line.startswith("PASS ") for line in checks)
+    assert summary == f"{passed}/14 checks passed"
+    assert (code == 0) == (passed == 14)
+    assert code in (0, 1)
 
 
 def test_verify_bad_suite_usage_error():

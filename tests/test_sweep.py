@@ -142,6 +142,17 @@ def test_config_validation():
         SweepConfig(param="k", values=(1,), policies=("nope",)).validate()
     with pytest.raises(ValueError):
         SweepConfig(param="k", values=(1,), runs=0).validate()
+    # every point needs k, B and C >= 1, and each policy id may appear once
+    for bad in (
+        SweepConfig(param="k", values=(1,), B=0),
+        SweepConfig(param="k", values=(1,), C=0),
+        SweepConfig(param="k", values=(0, 1, 2, 3)),
+        SweepConfig(param="C", values=(0, 1, 2)),
+        SweepConfig(param="B", values=(0, 5)),
+        SweepConfig(param="k", values=(1,), policies=("npo", "npo")),
+    ):
+        with pytest.raises(ValueError):
+            bad.validate()
 
 
 def test_point_substitutes_swept_parameter():
