@@ -9,7 +9,9 @@ counts everything the policy would deliver.
 
 ``run`` dispatches a registry id to one of two fast loops (counters only)
 unless an event log was requested: an eager loop for npo, po and srpt, and a
-lazy loop for lpo and lpo_p.  Both loops and the general path walk the
+lazy loop for lpo and lpo_p.  srpt's counts depend only on the multiset of
+residuals, so its fast loop is po on a queue kept in ascending order, where
+the FIFO head is the C smallest residuals.  Both loops and the general path walk the
 trace's packet-aligned ``slots``/``works`` columns directly; the general path
 numbers packet ``i`` of the trace as id ``i + 1``.  Both paths produce
 identical counts.
@@ -17,6 +19,7 @@ identical counts.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import partial
 
 from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
@@ -171,8 +174,9 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 
 # ---------------------------------------------------------------------------
 # Fast loops: counters only, no Packet objects.  The queue is a plain list of
-# residuals (head at index 0); admission order equals list order because
-# arrivals always append at the tail.  A comprehension here may take a local
+# residuals (head at index 0).  Admission order equals list order because
+# arrivals append at the tail, except on srpt's ascending queue, where order
+# does not matter to the counts.  A comprehension here may take a local
 # as its iterable but never read one inside: that makes the local a closure
 # cell, slower on every access.
 
@@ -187,10 +191,13 @@ def _counts(final_slot, transmitted, dropped, pushed, admitted):
     }
 
 
-def _fast_eager(slots, works, B, C, pushout, shortest):
-    # npo, po and srpt: every slot processes min(C, occupancy) packets, the
-    # FIFO prefix or (shortest) the smallest residuals.
+def _fast_eager(slots, works, B, C, pushout, ordered):
+    # npo, po and srpt: every slot processes the first min(C, occupancy)
+    # packets.  srpt is po on a queue kept ascending (ordered): a push-out
+    # evicts the tail, a maximal residual, and the head is the C smallest.
+    # Decrementing the head keeps the queue sorted.
     q: list[int] = []
+    place = partial(insort, q) if ordered else q.append
     single = C == 1
     n = len(slots)
     i = 0
@@ -205,14 +212,17 @@ def _fast_eager(slots, works, B, C, pushout, shortest):
             break
         while i < n and slots[i] == t:
             if len(q) < B:
-                q.append(works[i])
+                place(works[i])
                 admitted += 1
             elif pushout:
                 w = works[i]
-                mx = max(q)
+                mx = q[-1] if ordered else max(q)
                 if w < mx:
-                    del q[q.index(mx)]
-                    q.append(w)
+                    if ordered:
+                        q.pop()
+                    else:
+                        q.remove(mx)
+                    place(w)
                     admitted += 1
                     pushed += 1
                 else:
@@ -221,24 +231,7 @@ def _fast_eager(slots, works, B, C, pushout, shortest):
                 dropped += 1
             i += 1
         if q:
-            if shortest:
-                if single:
-                    best = min(q)
-                    idx = q.index(best)
-                    if best == 1:
-                        del q[idx]
-                        transmitted += 1
-                    else:
-                        q[idx] = best - 1
-                else:
-                    chosen = sorted(range(len(q)), key=q.__getitem__)[:C]
-                    for idx in chosen:
-                        q[idx] -= 1
-                    for idx in sorted(chosen, reverse=True):
-                        if q[idx] == 0:
-                            del q[idx]
-                            transmitted += 1
-            elif single:
+            if single:
                 r = q[0] - 1
                 if r:
                     q[0] = r
@@ -328,9 +321,9 @@ def _fast_lazy(slots, works, B, C, spare):
 
 
 _FAST_LOOPS = {
-    "npo": partial(_fast_eager, pushout=False, shortest=False),
-    "po": partial(_fast_eager, pushout=True, shortest=False),
-    "srpt": partial(_fast_eager, pushout=True, shortest=True),
+    "npo": partial(_fast_eager, pushout=False, ordered=False),
+    "po": partial(_fast_eager, pushout=True, ordered=False),
+    "srpt": partial(_fast_eager, pushout=True, ordered=True),
     "lpo": partial(_fast_lazy, spare=False),
     "lpo_p": partial(_fast_lazy, spare=True),
 }

@@ -108,7 +108,7 @@ def verify_construction(
         tolerance = f"ratio >= 0.95 * (2k-1)/k = {floor:.4f}"
         passed = ratio >= floor
     elif name == "NPO_TIGHT":
-        floor = 0.98 * k
+        floor = 0.98 * bound_value("NPO_TIGHT_K", k=k).value
         tolerance = f"ratio >= 0.98 * k = {floor:.4f}"
         passed = ratio >= floor
     else:  # LOG_RECURSIVE
@@ -186,7 +186,8 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
             problems.append(f"mask replay {replayed} != oracle {opt.throughput}")
         if throughput["srpt"] < opt.throughput:
             srpt_below += 1
-        if throughput["lpo"] and opt.throughput > (math.log(k) + 3.5) * throughput["lpo"]:
+        ln_bound = bound_value("LPO_UPPER_LN", k=k).value + 0.5
+        if throughput["lpo"] and opt.throughput > ln_bound * throughput["lpo"]:
             ln_bound_misses += 1
         if problems:
             failures.append(

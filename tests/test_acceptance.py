@@ -173,7 +173,8 @@ def test_c8_c_sweep_crossover(sweep_reports):
         "(fill mode cannot touch single-cycle packets, so idle cores multiply the "
         "laziness cost; confirmed under both readings of the drain-core open question). "
         "The eager and non-push-out curves are monotone; see the green test below and "
-        "the decisions ledger."
+        "the decisions ledger.  At C >= 2 the reference is a strong heuristic, not an "
+        "upper bound, so C-sweep ratios are not competitive ratios."
     ),
 )
 def test_c8_c_sweep_all_ratios_monotone(c_sweep_table):

@@ -150,6 +150,22 @@ def test_fast_and_general_paths_agree_at_sweep_scale():
         assert counters(fast) == counters(slow), (pol, cores)
 
 
+def test_fast_srpt_agrees_with_general_on_ties(rng):
+    # the fast loop keeps srpt's queue ascending instead of in admission
+    # order, so ties are where it could part from SrptPolicy: works in
+    # {1, 2, 3}, up to 150 packets over 6 slots, C > B included
+    dims = [(1, 1), (1, 10), (2, 10), (5, 7), (40, 1), (40, 10)]
+    dims += [(int(rng.integers(1, 41)), int(rng.integers(1, 11))) for _ in range(94)]
+    for B, C in dims:
+        n = int(rng.integers(1, 151))
+        slots = sorted(int(s) for s in rng.integers(1, 7, n))
+        works = [int(w) for w in rng.integers(1, 4, n)]
+        trace = Trace(slots=slots, works=works, k_declared=3)
+        fast = run(trace, "srpt", B, C)
+        slow = run(trace, "srpt", B, C, record_events=True)
+        assert counters(fast) == counters(slow), (B, C, slots, works)
+
+
 def test_lpo_holds_finished_packets_until_drain():
     # work profile [1,1,3]: the two singles wait while the 3 is ground down,
     # then everything drains together

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from fifosim import (
@@ -12,6 +13,7 @@ from fifosim import (
     replay_accept_mask,
     run,
 )
+from fifosim.verify import random_micro_trace
 
 from conftest import make_trace, random_trace
 
@@ -96,6 +98,29 @@ def test_dominates_online_policies(rng):
         opt = offline_opt_bruteforce(trace, B, 1).throughput
         for pol in ("npo", "po", "lpo", "lpo_p"):
             assert run(trace, pol, B, 1).transmitted_count <= opt
+
+
+def test_srpt_at_least_oracle_at_one_core():
+    # on one core the shortest-residual push-out reference is optimal, so it
+    # never falls below the FIFO-prefix oracle; instances as verify_micro draws them
+    for index in range(300):
+        rng = np.random.default_rng(10_000 + index)
+        B = int(rng.choice([2, 3]))
+        k = int(rng.choice([2, 3, 4]))
+        trace = random_micro_trace(rng, k=k)
+        opt = offline_opt_bruteforce(trace, B, 1).throughput
+        assert run(trace, "srpt", B, 1).transmitted_count >= opt, (B, trace.slots, trace.works)
+
+
+def test_srpt_is_not_an_upper_bound_at_two_cores():
+    # the smallest instance found where srpt falls below the oracle at C = 2,
+    # while every FIFO policy stays at or below it
+    trace = Trace(
+        slots=[1, 1, 2, 3, 4, 5, 5, 6, 6, 8, 8], works=[1, 1, 4, 2, 3, 2, 4, 3, 3, 3, 1], k_declared=4
+    )
+    sent = {pol: run(trace, pol, 3, 2).transmitted_count for pol in ("npo", "po", "lpo", "lpo_p", "srpt")}
+    assert offline_opt_bruteforce(trace, 3, 2).throughput == 9
+    assert sent == {"npo": 9, "po": 9, "lpo": 7, "lpo_p": 7, "srpt": 8}
 
 
 def test_monotone_under_added_packet(rng):
