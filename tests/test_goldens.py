@@ -7,10 +7,11 @@ and comparator counters of every construction at its golden-suite and
 constructions-suite settings; a "reference" comparator is the replay of its
 accept mask.  The trace rows pin the generated traffic, and the
 construction-trace rows every construction setting, to the bytes of its
-JSON-lines file.
+JSON-lines file.  ``verify_lines.txt`` pins the report lines that
+``fifosim verify`` prints for the golden, constructions and micro suites.
 
 Re-record (only when a behaviour change is intended) with
-``PYTHONPATH=src python tests/test_goldens.py``.
+``PYTHONPATH=src python tests/test_goldens.py``, which writes both files.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from pathlib import Path
 import pytest
 
 from fifosim import MmppParams, gen_adversarial, gen_mmpp, reference_accept_mask, replay_accept_mask, run, write_trace
+from fifosim.verify import constructions_suite, golden_suite, verify_micro
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_counters.json"
+VERIFY_LINES_PATH = GOLDEN_PATH.parent / "verify_lines.txt"
 
 POLICIES = ("npo", "po", "lpo", "lpo_p", "srpt")
 KS = (1, 5, 40)
@@ -121,6 +124,11 @@ def construction_rows(name: str, kwargs: dict) -> list[dict]:
     return rows
 
 
+def verify_lines() -> str:
+    reports = golden_suite() + constructions_suite() + [verify_micro(200, seed=0)]
+    return "".join(rep.line() + "\n" for rep in reports)
+
+
 def record() -> dict:
     return {
         "traces": trace_rows(),
@@ -155,6 +163,10 @@ def test_construction_counters_match_goldens(golden):
     assert got == golden["constructions"]
 
 
+def test_verify_lines_match_goldens():
+    assert verify_lines() == VERIFY_LINES_PATH.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     data = record()
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
@@ -165,4 +177,5 @@ if __name__ == "__main__":
             fh.write(",\n".join("    " + json.dumps(row) for row in rows))
             fh.write("\n  ]" + (",\n" if i < len(data) - 1 else "\n"))
         fh.write("}\n")
-    print(f"wrote {GOLDEN_PATH}")
+    VERIFY_LINES_PATH.write_text(verify_lines(), encoding="utf-8")
+    print(f"wrote {GOLDEN_PATH} and {VERIFY_LINES_PATH}")
