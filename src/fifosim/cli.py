@@ -188,9 +188,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.count < 1:
-        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+            return 2
     if args.suite == "golden":
         reports = golden_suite() + sweep_reproduction_reports(sweep(K_SWEEP), sweep(C_SWEEP))
     elif args.suite == "micro":

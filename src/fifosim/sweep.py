@@ -51,6 +51,8 @@ class SweepConfig:
             raise ValueError("sweep needs a non-empty value range")
         if self.slots < 1 or self.runs < 1:
             raise ValueError("slots and runs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for value in self.values:
             if min(self.point(value)) < 1:
                 raise ValueError(f"k, B and C must be >= 1, got (k, B, C) = {self.point(value)}")

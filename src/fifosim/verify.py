@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,21 +29,44 @@ class VerificationReport:
     details: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "params": self.params,
-                "claimed": self.claimed,
-                "measured": self.measured,
-                "tolerance": self.tolerance,
-                "pass": self.passed,
-                "details": self.details,
-            }
-        )
+        return json.dumps({"pass" if key == "passed" else key: value for key, value in asdict(self).items()})
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.check}: claimed={self.claimed} measured={self.measured} ({self.tolerance})"
+
+
+class _Rule(NamedTuple):
+    """A construction's claim; each part left at its default is unbounded.
+
+    The comparator/target ratio is at least ``floor(claimed=, B=, k=, level=)``.
+    For every policy with a claimed count, the comparator/policy ratio is within
+    ``rel`` times its claimed ratio and the per-period count within ``slack``.
+    """
+
+    tolerance: str  # formatted with the floor
+    floor: Callable[..., float] = lambda **_: -math.inf
+    rel: float = math.inf
+    slack: float = math.inf
+
+
+def _share_of(bound_id: str, share: float) -> Callable[..., float]:
+    return lambda k, B, **_: share * bound_value(bound_id, k=k, B=B).value
+
+
+# name -> the claim verify_construction checks, keyed like adversarial's table
+_RULES = {
+    "PO_VS_LPO": _Rule("ratio >= claimed - 0.05", floor=lambda claimed, **_: claimed - 0.05),
+    "LPO_VS_PO": _Rule("ratio within 3% of claimed; per-period counts within +-2", rel=0.03, slack=2),
+    "NPO_TIGHT": _Rule("ratio >= 0.98 * k = {:.4f}", floor=_share_of("NPO_TIGHT_K", 0.98)),
+    "KGEB": _Rule("per-period target within +-1; ratio within 2% of claimed", rel=0.02, slack=1),
+    "PO_KLTB": _Rule("ratio >= 0.95 * 2k/(k+1) = {:.4f}", floor=_share_of("LB_PO_KLTB", 0.95)),
+    "LPO_KLTB": _Rule("ratio >= 0.95 * (2k-1)/k = {:.4f}", floor=_share_of("LB_LPO_KLTB", 0.95)),
+    "LOG_RECURSIVE": _Rule(
+        "ratio >= max(level + 0.5, 0.98 * claimed) = {:.4f}",
+        floor=lambda claimed, level, **_: max((level or 0) + 0.5, 0.98 * claimed),
+    ),
+}
 
 
 def verify_construction(
@@ -53,73 +77,41 @@ def verify_construction(
     periods: int = 1,
     level: int | None = None,
 ) -> VerificationReport:
-    """Generate one construction, simulate its target, and check the claim.
+    """Generate one construction, simulate its claimed policies, and check its rule.
 
     The measured ratio compares the comparator's throughput (simulated for
     the policy-vs-policy constructions, the claimed analytic schedule
     otherwise) against the simulated target policy.
     """
     adv = gen_adversarial(construction, B, k=k, C=C, periods=periods, level=level)
-    target_total = run(adv.trace, adv.target, B, C).transmitted_count
-    if adv.comparator == "reference":
-        comp_total = adv.claimed_total["reference"]
-    else:
-        comp_total = run(adv.trace, adv.comparator, B, C).transmitted_count
-    ratio = comp_total / target_total if target_total else math.inf
-    claimed_ratio = adv.claimed_total[adv.comparator] / adv.claimed_total[adv.target]
-
-    name = adv.construction
+    comp = adv.comparator
+    # engine runs in this order: target, comparator, the other claimed policies
+    totals = {
+        pol: adv.claimed_total[pol] if pol == "reference" else run(adv.trace, pol, B, C).transmitted_count
+        for pol in dict.fromkeys((adv.target, comp, *adv.claimed))
+    }
+    ratios = {pol: totals[comp] / n if n else math.inf for pol, n in totals.items() if pol != comp}
+    claimed_ratios = {pol: adv.claimed_total[comp] / adv.claimed_total[pol] for pol in ratios}
+    ratio, claimed_ratio = ratios[adv.target], claimed_ratios[adv.target]
     measured = {
-        adv.target: target_total,
-        adv.comparator: comp_total,
+        adv.target: totals[adv.target],
+        comp: totals[comp],
         "ratio": round(ratio, 6),
-        "per_period_target": round(target_total / adv.periods, 3),
+        "per_period_target": round(totals[adv.target] / adv.periods, 3),
+        **totals,  # target and comparator keep their places; the other policies follow
     }
     details: list[str] = []
 
-    if name == "PO_VS_LPO":
-        tolerance = "ratio >= claimed - 0.05"
-        passed = ratio >= claimed_ratio - 0.05
-    elif name == "LPO_VS_PO":
-        tolerance = "ratio within 3% of claimed; per-period counts within +-2"
-        ok_ratio = abs(ratio - claimed_ratio) <= 0.03 * claimed_ratio
-        ok_counts = (
-            abs(target_total / adv.periods - adv.claimed[adv.target]) <= 2
-            and abs(comp_total / adv.periods - adv.claimed[adv.comparator]) <= 2
-        )
-        passed = ok_ratio and ok_counts
-    elif name == "KGEB":
-        tolerance = "per-period target within +-1; ratio within 2% of claimed"
-        per = target_total / adv.periods
-        passed = abs(per - adv.claimed[adv.target]) <= 1 and abs(
-            ratio - claimed_ratio
-        ) <= 0.02 * claimed_ratio
-        lpo_total = run(adv.trace, "lpo", B, C).transmitted_count
-        lpo_ratio = comp_total / lpo_total if lpo_total else math.inf
-        measured["lpo"] = lpo_total
-        passed = passed and abs(lpo_total / adv.periods - adv.claimed["lpo"]) <= 1
-        passed = passed and abs(lpo_ratio - claimed_ratio) <= 0.02 * claimed_ratio
-    elif name == "PO_KLTB":
-        floor = 0.95 * bound_value("LB_PO_KLTB", k=k, B=B).value
-        tolerance = f"ratio >= 0.95 * 2k/(k+1) = {floor:.4f}"
-        passed = ratio >= floor
-    elif name == "LPO_KLTB":
-        floor = 0.95 * bound_value("LB_LPO_KLTB", k=k, B=B).value
-        tolerance = f"ratio >= 0.95 * (2k-1)/k = {floor:.4f}"
-        passed = ratio >= floor
-    elif name == "NPO_TIGHT":
-        floor = 0.98 * bound_value("NPO_TIGHT_K", k=k).value
-        tolerance = f"ratio >= 0.98 * k = {floor:.4f}"
-        passed = ratio >= floor
-    else:  # LOG_RECURSIVE
-        lvl = 0 if level is None else level
-        floor = max(lvl + 0.5, 0.98 * claimed_ratio)
-        tolerance = f"ratio >= max(level + 0.5, 0.98 * claimed) = {floor:.4f}"
-        passed = ratio >= floor
+    rule = _RULES[adv.construction]
+    floor = rule.floor(claimed=claimed_ratio, B=B, k=k, level=level)
+    passed = (
+        ratio >= floor
+        and all(abs(ratios[pol] - claimed_ratios[pol]) <= rule.rel * claimed_ratios[pol] for pol in ratios)
+        and all(abs(totals[pol] / adv.periods - adv.claimed[pol]) <= rule.slack for pol in adv.claimed)
+    )
 
-    if adv.comparator == "reference":
-        mask = reference_accept_mask(adv)
-        replayed = replay_accept_mask(adv.trace, mask, B, C).transmitted_count
+    if comp == "reference":
+        replayed = replay_accept_mask(adv.trace, reference_accept_mask(adv), B, C).transmitted_count
         measured["reference_replayed"] = replayed
         if replayed != adv.claimed_total["reference"]:
             passed = False
@@ -128,12 +120,12 @@ def verify_construction(
             )
 
     return VerificationReport(
-        check=f"{name} B={B} k={k} C={C} periods={periods}"
+        check=f"{adv.construction} B={B} k={k} C={C} periods={periods}"
         + (f" level={level}" if level is not None else ""),
         params=adv.params,
         claimed={**adv.claimed_total, "ratio": round(claimed_ratio, 6)},
         measured=measured,
-        tolerance=tolerance,
+        tolerance=rule.tolerance.format(floor),
         passed=passed,
         details=details,
     )
@@ -163,13 +155,14 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
     reference policy's relation to the oracle and the log-form upper bound
     are tallied and reported, not asserted.
     """
+    grid = {"B": [2, 3], "k": [2, 3, 4]}
     failures: list[str] = []
     srpt_below = 0
     ln_bound_misses = 0
     for index in range(count):
         rng = np.random.default_rng(seed + index)  # per-instance seed: seed + index
-        B = int(rng.choice([2, 3]))
-        k = int(rng.choice([2, 3, 4]))
+        B = int(rng.choice(grid["B"]))
+        k = int(rng.choice(grid["k"]))
         trace = random_micro_trace(rng, k=k)
         opt = offline_opt_bruteforce(trace, B, 1)
         throughput = {
@@ -195,7 +188,7 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
             )
     return VerificationReport(
         check=f"micro oracle suite ({count} instances)",
-        params={"count": count, "seed": seed, "B": [2, 3], "k": [2, 3, 4], "C": 1},
+        params={"count": count, "seed": seed, **grid, "C": 1},
         claimed={"violations": 0},
         measured={
             "violations": len(failures),
@@ -270,7 +263,7 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
         identical = open(a_path, "rb").read() == open(b_path, "rb").read()
     det_report = VerificationReport(
         check="sweep determinism (byte-identical CSV)",
-        params={"values": [1, 5, 9], "slots": 20_000, "runs": 2},
+        params={"values": list(config.values), "slots": config.slots, "runs": config.runs},
         claimed={"identical": True},
         measured={"identical": identical},
         tolerance="two runs of the same config produce identical bytes",
@@ -279,20 +272,38 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
     return [k_report, std_report, cross_report, det_report]
 
 
+# the settings each suite checks, in the order it reports them
+GOLDEN_CASES = (
+    ("LPO_VS_PO", dict(B=10, k=6, C=1, periods=200)),
+    ("PO_VS_LPO", dict(B=10, C=1, periods=200)),
+    ("KGEB", dict(B=10, k=10, C=1, periods=100)),
+    ("PO_KLTB", dict(B=27, k=3, C=1, periods=20)),
+    ("LPO_KLTB", dict(B=20, k=3, C=1, periods=20)),
+    ("NPO_TIGHT", dict(B=10, k=5, C=1, periods=1000)),
+    *(("LOG_RECURSIVE", dict(B=10, C=1, periods=2, level=lvl)) for lvl in (0, 1, 2)),
+)
+CONSTRUCTION_CASES = (
+    ("PO_VS_LPO", dict(B=6, periods=50)),
+    ("PO_VS_LPO", dict(B=16, periods=50)),
+    ("LPO_VS_PO", dict(B=8, k=5, periods=50)),
+    ("LPO_VS_PO", dict(B=20, k=11, periods=50)),
+    ("KGEB", dict(B=5, k=5, periods=50)),
+    ("KGEB", dict(B=20, k=25, periods=50)),
+    ("PO_KLTB", dict(B=40, k=2, periods=10)),
+    ("PO_KLTB", dict(B=40, k=5, periods=10)),
+    ("LPO_KLTB", dict(B=24, k=4, periods=10)),
+    ("LPO_KLTB", dict(B=40, k=2, periods=10)),
+    ("NPO_TIGHT", dict(B=8, k=4, C=2, periods=500)),
+    ("NPO_TIGHT", dict(B=10, k=10, C=1, periods=800)),
+    ("LOG_RECURSIVE", dict(B=8, periods=2, level=0)),
+    ("LOG_RECURSIVE", dict(B=12, periods=2, level=1)),
+)
+
+
 def golden_suite() -> list[VerificationReport]:
-    """The six deterministic worst-case checks at their acceptance settings."""
-    reports = [
-        verify_construction("LPO_VS_PO", B=10, k=6, C=1, periods=200),
-        verify_construction("PO_VS_LPO", B=10, C=1, periods=200),
-        verify_construction("KGEB", B=10, k=10, C=1, periods=100),
-        verify_construction("PO_KLTB", B=27, k=3, C=1, periods=20),
-        verify_construction("LPO_KLTB", B=20, k=3, C=1, periods=20),
-        verify_construction("NPO_TIGHT", B=10, k=5, C=1, periods=1000),
-    ]
-    log_reports = [
-        verify_construction("LOG_RECURSIVE", B=10, C=1, periods=2, level=lvl) for lvl in (0, 1, 2)
-    ]
-    ratios = [rep.measured["ratio"] for rep in log_reports]
+    """The GOLDEN_CASES checks, then the LOG_RECURSIVE growth check over their levels."""
+    reports = [verify_construction(name, **kw) for name, kw in GOLDEN_CASES]
+    ratios = [rep.measured["ratio"] for rep in reports if rep.check.startswith("LOG_RECURSIVE")]
     increasing = all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
     combined = VerificationReport(
         check="LOG_RECURSIVE ratio growth (levels 0..2)",
@@ -306,25 +317,9 @@ def golden_suite() -> list[VerificationReport]:
             and all(r >= lvl + 0.5 for lvl, r in enumerate(ratios))
         ),
     )
-    return reports + log_reports + [combined]
+    return reports + [combined]
 
 
 def constructions_suite() -> list[VerificationReport]:
-    """A broader parameter matrix over every construction."""
-    cases = [
-        ("PO_VS_LPO", dict(B=6, periods=50)),
-        ("PO_VS_LPO", dict(B=16, periods=50)),
-        ("LPO_VS_PO", dict(B=8, k=5, periods=50)),
-        ("LPO_VS_PO", dict(B=20, k=11, periods=50)),
-        ("KGEB", dict(B=5, k=5, periods=50)),
-        ("KGEB", dict(B=20, k=25, periods=50)),
-        ("PO_KLTB", dict(B=40, k=2, periods=10)),
-        ("PO_KLTB", dict(B=40, k=5, periods=10)),
-        ("LPO_KLTB", dict(B=24, k=4, periods=10)),
-        ("LPO_KLTB", dict(B=40, k=2, periods=10)),
-        ("NPO_TIGHT", dict(B=8, k=4, C=2, periods=500)),
-        ("NPO_TIGHT", dict(B=10, k=10, C=1, periods=800)),
-        ("LOG_RECURSIVE", dict(B=8, periods=2, level=0)),
-        ("LOG_RECURSIVE", dict(B=12, periods=2, level=1)),
-    ]
-    return [verify_construction(name, **kw) for name, kw in cases]
+    """A broader parameter matrix over every construction: the CONSTRUCTION_CASES checks."""
+    return [verify_construction(name, **kw) for name, kw in CONSTRUCTION_CASES]

@@ -153,6 +153,24 @@ def test_verify_count_below_one_is_usage_error(capsys):
         assert captured.out == ""
 
 
+def test_negative_seed_is_usage_error(capsys, monkeypatch):
+    import fifosim.cli
+
+    def no_sweep(config):
+        raise AssertionError("the sweep ran with a negative seed")
+
+    monkeypatch.setattr(fifosim.cli, "sweep", no_sweep)
+    for argv in (
+        ["verify", "--suite", "micro", "--seed", "-1"],
+        ["sweep", "--param", "k", "--range", "1:2", "--slots", "100", "--runs", "1", "--seed", "-1",
+         "--out", "/tmp/x_"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "seed" in captured.err
+        assert captured.out == ""
+
+
 def test_verify_golden_prints_golden_then_sweep_claims(capsys, monkeypatch):
     import fifosim.cli
     from fifosim import SweepConfig

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from fifosim import MmppParams, gen_adversarial, gen_mmpp, reference_accept_mask, replay_accept_mask, run, write_trace
-from fifosim.verify import constructions_suite, golden_suite, verify_micro
+from fifosim.verify import CONSTRUCTION_CASES, GOLDEN_CASES, constructions_suite, golden_suite, verify_micro
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_counters.json"
 VERIFY_LINES_PATH = GOLDEN_PATH.parent / "verify_lines.txt"
@@ -36,32 +36,7 @@ BS = (1, 10, 40)
 CS = (1, 5, 10)
 SLOTS = 2000
 
-# verify.golden_suite and verify.constructions_suite settings
-CONSTRUCTIONS = [
-    ("LPO_VS_PO", dict(B=10, k=6, C=1, periods=200)),
-    ("PO_VS_LPO", dict(B=10, C=1, periods=200)),
-    ("KGEB", dict(B=10, k=10, C=1, periods=100)),
-    ("PO_KLTB", dict(B=27, k=3, C=1, periods=20)),
-    ("LPO_KLTB", dict(B=20, k=3, C=1, periods=20)),
-    ("NPO_TIGHT", dict(B=10, k=5, C=1, periods=1000)),
-    ("LOG_RECURSIVE", dict(B=10, C=1, periods=2, level=0)),
-    ("LOG_RECURSIVE", dict(B=10, C=1, periods=2, level=1)),
-    ("LOG_RECURSIVE", dict(B=10, C=1, periods=2, level=2)),
-    ("PO_VS_LPO", dict(B=6, periods=50)),
-    ("PO_VS_LPO", dict(B=16, periods=50)),
-    ("LPO_VS_PO", dict(B=8, k=5, periods=50)),
-    ("LPO_VS_PO", dict(B=20, k=11, periods=50)),
-    ("KGEB", dict(B=5, k=5, periods=50)),
-    ("KGEB", dict(B=20, k=25, periods=50)),
-    ("PO_KLTB", dict(B=40, k=2, periods=10)),
-    ("PO_KLTB", dict(B=40, k=5, periods=10)),
-    ("LPO_KLTB", dict(B=24, k=4, periods=10)),
-    ("LPO_KLTB", dict(B=40, k=2, periods=10)),
-    ("NPO_TIGHT", dict(B=8, k=4, C=2, periods=500)),
-    ("NPO_TIGHT", dict(B=10, k=10, C=1, periods=800)),
-    ("LOG_RECURSIVE", dict(B=8, periods=2, level=0)),
-    ("LOG_RECURSIVE", dict(B=12, periods=2, level=1)),
-]
+CONSTRUCTIONS = GOLDEN_CASES + CONSTRUCTION_CASES
 
 
 def _counters(res) -> dict:
