@@ -10,12 +10,12 @@ import argparse
 import os
 import sys
 
-from .adversarial import CONSTRUCTIONS, ConstructionError, gen_adversarial
+from .adversarial import CONSTRUCTIONS, gen_adversarial
 from .bounds import BOUND_IDS, bound_value
 from .engine import run
-from .policies import POLICY_IDS, UnknownPolicyError
+from .policies import POLICY_IDS
 from .sweep import SWEEPABLE, SweepConfig, emit_plot_data, sweep, write_results_csv
-from .trace import TraceError, read_trace, write_trace
+from .trace import read_trace, write_trace
 from .traffic import MmppParams, gen_mmpp
 from .verify import C_SWEEP, K_SWEEP, constructions_suite, golden_suite, sweep_reproduction_reports, verify_micro
 
@@ -45,11 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--level", type=int, help="LOG_RECURSIVE recursion depth")
     gen.add_argument("--slots", type=int, help="slots to generate (mmpp)")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--lambda-off", type=float, default=0.3)
-    gen.add_argument("--on-min", type=int, default=3)
-    gen.add_argument("--on-max", type=int, default=6)
-    gen.add_argument("--p-on-off", type=float, default=0.2)
-    gen.add_argument("--p-off-on", type=float, default=0.05)
+    gen.add_argument("--lambda-off", type=float, default=MmppParams.lambda_off)
+    gen.add_argument("--on-min", type=int, default=MmppParams.on_count_min)
+    gen.add_argument("--on-max", type=int, default=MmppParams.on_count_max)
+    gen.add_argument("--p-on-off", type=float, default=MmppParams.p_on_to_off)
+    gen.add_argument("--p-off-on", type=float, default=MmppParams.p_off_to_on)
     gen.add_argument("--out", required=True, help="output trace path")
 
     swp = sub.add_parser("sweep", help="parameter sweep with ratio aggregation")
@@ -83,18 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        trace = read_trace(args.trace)
-        result = run(
-            trace,
-            args.policy,
-            args.buffer,
-            args.cores,
-            record_events=args.events,
-        )
-    except (TraceError, UnknownPolicyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    trace = read_trace(args.trace)
+    result = run(
+        trace,
+        args.policy,
+        args.buffer,
+        args.cores,
+        record_events=args.events,
+    )
     print(
         f"policy={result.policy} B={result.buffer_size} C={result.cores} "
         f"final_slot={result.final_slot} transmitted={result.transmitted_count} "
@@ -111,36 +107,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        if args.mmpp:
-            if args.slots is None or args.k is None:
-                print("error: --mmpp needs --slots and --k", file=sys.stderr)
-                return 2
-            params = MmppParams(
-                lambda_off=args.lambda_off,
-                on_count_min=args.on_min,
-                on_count_max=args.on_max,
-                p_on_to_off=args.p_on_off,
-                p_off_to_on=args.p_off_on,
-                k=args.k,
-            )
-            trace = gen_mmpp(params, args.slots, args.seed)
-        else:
-            if args.buffer is None:
-                print("error: --construction needs --buffer", file=sys.stderr)
-                return 2
-            adv = gen_adversarial(
-                args.construction,
-                B=args.buffer,
-                k=args.k,
-                C=args.cores,
-                periods=args.periods,
-                level=args.level,
-            )
-            trace = adv.trace
-    except (ConstructionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.mmpp:
+        if args.slots is None or args.k is None:
+            raise ValueError("--mmpp needs --slots and --k")
+        params = MmppParams(
+            lambda_off=args.lambda_off,
+            on_count_min=args.on_min,
+            on_count_max=args.on_max,
+            p_on_to_off=args.p_on_off,
+            p_off_to_on=args.p_off_on,
+            k=args.k,
+        )
+        trace = gen_mmpp(params, args.slots, args.seed)
+    else:
+        if args.buffer is None:
+            raise ValueError("--construction needs --buffer")
+        adv = gen_adversarial(
+            args.construction,
+            B=args.buffer,
+            k=args.k,
+            C=args.cores,
+            periods=args.periods,
+            level=args.level,
+        )
+        trace = adv.trace
     write_trace(trace, args.out)
     print(f"wrote {trace.packet_count} packets to {args.out}")
     return 0
@@ -158,25 +148,21 @@ def _parse_range(spec: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = SweepConfig(
-            param=args.param,
-            values=_parse_range(args.range),
-            k=args.k,
-            B=args.buffer,
-            C=args.cores,
-            policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
-            slots=args.slots,
-            runs=args.runs,
-            master_seed=args.seed,
-        )
-        config.validate()
-        out_dir = os.path.dirname(args.out) or "."
-        if not os.path.isdir(out_dir):
-            raise ValueError(f"--out {args.out}: no such directory {out_dir}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = SweepConfig(
+        param=args.param,
+        values=_parse_range(args.range),
+        k=args.k,
+        B=args.buffer,
+        C=args.cores,
+        policies=tuple(p.strip() for p in args.policies.split(",") if p.strip()),
+        slots=args.slots,
+        runs=args.runs,
+        master_seed=args.seed,
+    )
+    config.validate()
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ValueError(f"--out {args.out}: no such directory {out_dir}")
     table = sweep(config)
     csv_path = f"{args.out}results.csv"
     write_results_csv(table, csv_path)
@@ -190,8 +176,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
         if value < least:
-            print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     if args.suite == "golden":
         reports = golden_suite() + sweep_reproduction_reports(sweep(K_SWEEP), sweep(C_SWEEP))
     elif args.suite == "micro":
@@ -209,11 +194,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        result = bound_value(args.id, k=args.k, B=args.buffer)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = bound_value(args.id, k=args.k, B=args.buffer)
     print(f"{result.value:g}")
     return 0
 
@@ -229,7 +210,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # TraceError, UnknownPolicyError and ConstructionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

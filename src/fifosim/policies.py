@@ -133,8 +133,6 @@ class SrptPolicy(PoPolicy):
         return [p.id for p in sorted(state.queue, key=lambda p: p.residual_work)[:cores]]
 
 
-POLICY_IDS = ("npo", "po", "lpo", "lpo_p", "srpt")
-
 _REGISTRY = {
     "npo": NpoPolicy,
     "po": PoPolicy,
@@ -142,6 +140,7 @@ _REGISTRY = {
     "lpo_p": LpoPPolicy,
     "srpt": SrptPolicy,
 }
+POLICY_IDS = tuple(_REGISTRY)
 
 
 def make_policy(policy) -> Policy:

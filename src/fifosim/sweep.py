@@ -2,9 +2,9 @@
 
 Per-run seeds derive from (master seed, point index, run index) through a
 ``numpy.random.SeedSequence``, so traffic never depends on which policies are
-being compared.  Cells may execute in parallel; the table is assembled in
-canonical order (point-major, run-minor, policies as listed, reference last)
-so the result is a pure function of the configuration.
+being compared.  The cells run through one ordered map, serial or on a process
+pool, so rows come back in canonical order (point-major, run-minor, policies as
+listed, reference last) and the result is a pure function of the configuration.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -35,11 +36,11 @@ class SweepConfig:
     slots: int = 200_000
     runs: int = 5
     master_seed: int = 0
-    lambda_off: float = 0.3
-    on_count_min: int = 3
-    on_count_max: int = 6
-    p_on_to_off: float = 0.2
-    p_off_to_on: float = 0.05
+    lambda_off: float = MmppParams.lambda_off
+    on_count_min: int = MmppParams.on_count_min
+    on_count_max: int = MmppParams.on_count_max
+    p_on_to_off: float = MmppParams.p_on_to_off
+    p_off_to_on: float = MmppParams.p_off_to_on
     workers: int | None = None  # None = one per CPU
     out_csv: str | None = None
     out_plot_prefix: str | None = None
@@ -107,9 +108,9 @@ def derive_run_seed(master_seed: int, point_index: int, run_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_cell(config: SweepConfig, point_index: int, value: int, run_index: int):
+def _run_cell(config: SweepConfig, value: int, seed: int) -> dict[str, int]:
+    """Transmitted counts on one trace: the reference first, then each policy."""
     k, B, C = config.point(value)
-    seed = derive_run_seed(config.master_seed, point_index, run_index)
     params = MmppParams(
         lambda_off=config.lambda_off,
         on_count_min=config.on_count_min,
@@ -119,12 +120,10 @@ def _run_cell(config: SweepConfig, point_index: int, value: int, run_index: int)
         k=k,
     )
     trace = gen_mmpp(params, config.slots, seed)
-    ref_count = run(trace, config.reference, B, C, validate=False).transmitted_count
-    counts = {config.reference: ref_count}
-    for pol in config.policies:
-        if pol not in counts:
-            counts[pol] = run(trace, pol, B, C, validate=False).transmitted_count
-    return (point_index, run_index), seed, counts
+    return {
+        pol: run(trace, pol, B, C, validate=False).transmitted_count
+        for pol in dict.fromkeys((config.reference, *config.policies))
+    }
 
 
 def _ratio(transmitted: int, reference: int) -> float:
@@ -139,55 +138,38 @@ def sweep(config: SweepConfig) -> ResultTable:
     """Run the sweep and aggregate per-point means and population stds."""
     config.validate()
     cells = [
-        (pi, value, r)
+        (value, derive_run_seed(config.master_seed, pi, r))
         for pi, value in enumerate(config.values)
         for r in range(config.runs)
     ]
     workers = config.workers if config.workers is not None else (os.cpu_count() or 1)
     workers = max(1, min(workers, len(cells)))
-    results: dict[tuple[int, int], tuple[int, dict]] = {}
     if workers == 1:
-        for pi, value, r in cells:
-            key, seed, counts = _run_cell(config, pi, value, r)
-            results[key] = (seed, counts)
+        counts = [_run_cell(config, value, seed) for value, seed in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, config, pi, value, r) for pi, value, r in cells]
-            for fut in futures:
-                key, seed, counts = fut.result()
-                results[key] = (seed, counts)
+            counts = list(pool.map(_run_cell, repeat(config), *zip(*cells)))
 
     table = ResultTable(config=config)
-    order = tuple(config.policies) + (
-        (config.reference,) if config.reference not in config.policies else ()
-    )
+    order = tuple(dict.fromkeys((*config.policies, config.reference)))
+    for (value, seed), cell in zip(cells, counts):
+        ref = cell[config.reference]
+        table.rows += (
+            SweepRow(pol, *config.point(value), seed, cell[pol], ref, _ratio(cell[pol], ref)) for pol in order
+        )
+    width = config.runs * len(order)
     for pi, value in enumerate(config.values):
-        k, B, C = config.point(value)
-        per_policy_ratios: dict[str, list[float]] = {pol: [] for pol in order}
-        per_policy_counts: dict[str, list[int]] = {pol: [] for pol in order}
-        refs: list[int] = []
-        for r in range(config.runs):
-            seed, counts = results[(pi, r)]
-            ref_count = counts[config.reference]
-            refs.append(ref_count)
-            for pol in order:
-                ratio = _ratio(counts[pol], ref_count)
-                table.rows.append(
-                    SweepRow(pol, k, B, C, seed, counts[pol], ref_count, ratio)
-                )
-                per_policy_ratios[pol].append(ratio)
-                per_policy_counts[pol].append(counts[pol])
+        point = table.rows[pi * width : (pi + 1) * width]
         for pol in order:
-            ratios = np.array(per_policy_ratios[pol])
+            rows = [row for row in point if row.policy == pol]
+            ratios = [row.ratio for row in rows]
             table.aggregates.append(
                 SweepAggregate(
-                    policy=pol,
-                    k=k,
-                    B=B,
-                    C=C,
+                    pol,
+                    *config.point(value),
                     x=value,
-                    mean_transmitted=float(np.mean(per_policy_counts[pol])),
-                    mean_reference=float(np.mean(refs)),
+                    mean_transmitted=float(np.mean([row.transmitted for row in rows])),
+                    mean_reference=float(np.mean([row.reference for row in rows])),
                     mean_ratio=float(np.mean(ratios)),
                     std_ratio=float(np.std(ratios)),  # population std over runs
                 )
@@ -217,19 +199,11 @@ def emit_plot_data(table: ResultTable, path_prefix) -> list[str]:
     if not table.aggregates:
         raise ValueError("table has no aggregates; run sweep() first")
     prefix = str(path_prefix)
-    by_policy: dict[str, list[SweepAggregate]] = {}
-    for agg in table.aggregates:
-        by_policy.setdefault(agg.policy, []).append(agg)
-    written: list[str] = []
-    series: dict[str, str] = {}
-    for pol, aggs in by_policy.items():
-        path = f"{prefix}{pol}.dat"
-        aggs = sorted(aggs, key=lambda a: a.x)
+    paths = {agg.policy: f"{prefix}{agg.policy}.dat" for agg in table.aggregates}
+    for pol, path in paths.items():
         with open(path, "w", encoding="utf-8") as fh:
-            for agg in aggs:
+            for agg in sorted((a for a in table.aggregates if a.policy == pol), key=lambda a: a.x):
                 fh.write(f"{agg.x} {agg.mean_ratio:.6f} {agg.std_ratio:.6f}\n")
-        written.append(path)
-        series[pol] = os.path.basename(path)
     manifest_path = f"{prefix}manifest.json"
     manifest = {
         "swept": table.config.param,
@@ -239,10 +213,9 @@ def emit_plot_data(table: ResultTable, path_prefix) -> list[str]:
         "runs": table.config.runs,
         "master_seed": table.config.master_seed,
         "reference": table.config.reference,
-        "series": series,
+        "series": {pol: os.path.basename(path) for pol, path in paths.items()},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    written.append(manifest_path)
-    return written
+    return [*paths.values(), manifest_path]

@@ -85,12 +85,15 @@ def _is_int(value) -> bool:
 def read_trace(path) -> Trace:
     """Read a JSON-lines trace file written by :func:`write_trace`.
 
-    A line that is not a JSON object, a header without a non-negative
-    integer ``k``, a packet record without integer ``slot`` and ``work``, or
-    an invalid trace raises :class:`TraceError`.
+    A file that is not UTF-8 text, a line that is not a JSON object, a header
+    without a non-negative integer ``k``, a packet record without integer
+    ``slot`` and ``work``, or an invalid trace raises :class:`TraceError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise TraceError(f"{path}: empty trace file (missing header record)")
     header = _record(path, *lines[0])

@@ -131,10 +131,13 @@ def verify_construction(
     )
 
 
-def random_micro_trace(rng: np.random.Generator, max_packets: int = 10, max_slot: int = 10, k: int = 4) -> Trace:
+_MICRO_MAX_PACKETS = _MICRO_MAX_SLOT = 10
+
+
+def random_micro_trace(rng: np.random.Generator, k: int = 4) -> Trace:
     """Small random trace for oracle-backed property checks."""
-    n = int(rng.integers(1, max_packets + 1))
-    slots = sorted(int(s) for s in rng.integers(1, max_slot + 1, n))
+    n = int(rng.integers(1, _MICRO_MAX_PACKETS + 1))
+    slots = sorted(int(s) for s in rng.integers(1, _MICRO_MAX_SLOT + 1, n))
     works = [int(w) for w in rng.integers(1, k + 1, n)]
     return Trace(slots=slots, works=works, k_declared=k)
 
@@ -303,18 +306,20 @@ CONSTRUCTION_CASES = (
 def golden_suite() -> list[VerificationReport]:
     """The GOLDEN_CASES checks, then the LOG_RECURSIVE growth check over their levels."""
     reports = [verify_construction(name, **kw) for name, kw in GOLDEN_CASES]
+    log_cases = [kw for name, kw in GOLDEN_CASES if name == "LOG_RECURSIVE"]
+    levels = [kw["level"] for kw in log_cases]
     ratios = [rep.measured["ratio"] for rep in reports if rep.check.startswith("LOG_RECURSIVE")]
     increasing = all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
     combined = VerificationReport(
-        check="LOG_RECURSIVE ratio growth (levels 0..2)",
-        params={"B": 10, "levels": [0, 1, 2]},
+        check=f"LOG_RECURSIVE ratio growth (levels {levels[0]}..{levels[-1]})",
+        params={"B": log_cases[0]["B"], "levels": levels},
         claimed={"strictly_increasing": True, "level0_floor": 2.5},
         measured={"ratios": ratios},
         tolerance="ratio(0) >= 2.5; ratio(n) strictly increasing and >= n + 0.5",
         passed=(
             increasing
             and ratios[0] >= 2.5
-            and all(r >= lvl + 0.5 for lvl, r in enumerate(ratios))
+            and all(r >= lvl + 0.5 for lvl, r in zip(levels, ratios))
         ),
     )
     return reports + [combined]

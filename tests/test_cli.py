@@ -53,6 +53,9 @@ def test_simulate_malformed_trace_is_usage_error(tmp_path, capsys):
     path.write_text('{"k": null, "generator": "g", "params": {}, "seed": 0}\n{"slot": 1, "work": 1}\n')
     assert main(["simulate", "--trace", str(path), "--policy", "po", "--buffer", "4"]) == 2
     assert "line 1" in capsys.readouterr().err
+    path.write_bytes(b"\xff\xfe")  # not UTF-8
+    assert main(["simulate", "--trace", str(path), "--policy", "po", "--buffer", "4"]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_simulate_events_flag(tmp_path, capsys):

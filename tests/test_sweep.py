@@ -67,10 +67,26 @@ def test_aggregates_mean_and_population_std(small_table):
         assert agg.std_ratio == pytest.approx(float(np.std(ratios)))
 
 
-def test_sweep_deterministic_and_worker_independent(small_table):
+def test_sweep_deterministic_and_worker_independent(tmp_path, small_table):
     serial = sweep(SweepConfig(**{**SMALL.__dict__, "workers": 1}))
     assert serial.rows == small_table.rows
     assert serial.aggregates == small_table.aggregates
+    # a C-sweep over non-ascending values with the reference among the policies
+    c_sweep = dict(
+        param="C", values=(3, 1, 2), k=4, B=6, policies=("po", "srpt", "lpo"), slots=2000, runs=2, master_seed=11
+    )
+    tables = {workers: sweep(SweepConfig(**c_sweep, workers=workers)) for workers in (1, 2)}
+    assert tables[1].rows == tables[2].rows
+    assert tables[1].aggregates == tables[2].aggregates
+    files = {}
+    for workers, table in tables.items():
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        write_results_csv(table, out / "results.csv")
+        emit_plot_data(table, f"{out}/")
+        files[workers] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert list(files[1]) == ["lpo.dat", "manifest.json", "po.dat", "results.csv", "srpt.dat"]
+    assert files[1] == files[2]
 
 
 def test_csv_byte_identical_across_runs(tmp_path, small_table):
