@@ -13,13 +13,10 @@ from .core import (
     BufferState,
     Packet,
     SimulationError,
-    SimulationResult,
-    SlotEvents,
 )
 from .engine import run
 from .oracle import (
     OracleLimitError,
-    OracleResult,
     offline_opt_bruteforce,
     replay_accept_mask,
 )
@@ -60,11 +57,8 @@ __all__ = [
     "BufferState",
     "Packet",
     "SimulationError",
-    "SimulationResult",
-    "SlotEvents",
     "run",
     "OracleLimitError",
-    "OracleResult",
     "offline_opt_bruteforce",
     "replay_accept_mask",
     "ACCEPT",

@@ -55,13 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="parameter sweep with ratio aggregation")
     swp.add_argument("--param", required=True, choices=SWEEPABLE)
     swp.add_argument("--range", required=True, help="A:Z or A:Z:step, inclusive")
-    swp.add_argument("--k", type=int, default=5)
-    swp.add_argument("--buffer", type=int, default=10)
-    swp.add_argument("--cores", type=int, default=1)
-    swp.add_argument("--policies", default="npo,po,lpo", help="comma-separated ids")
-    swp.add_argument("--slots", type=int, default=200_000)
-    swp.add_argument("--runs", type=int, default=5)
-    swp.add_argument("--seed", type=int, default=0)
+    swp.add_argument("--k", type=int, default=SweepConfig.k)
+    swp.add_argument("--buffer", type=int, default=SweepConfig.B)
+    swp.add_argument("--cores", type=int, default=SweepConfig.C)
+    swp.add_argument("--policies", default=",".join(SweepConfig.policies), help="comma-separated ids")
+    swp.add_argument("--slots", type=int, default=SweepConfig.slots)
+    swp.add_argument("--runs", type=int, default=SweepConfig.runs)
+    swp.add_argument("--seed", type=int, default=SweepConfig.master_seed)
     swp.add_argument("--out", required=True, help="output path prefix")
 
     ver = sub.add_parser("verify", help="run a verification suite")

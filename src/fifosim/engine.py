@@ -11,10 +11,12 @@ counts everything the policy would deliver.
 unless an event log was requested: an eager loop for npo, po and srpt, and a
 lazy loop for lpo and lpo_p.  srpt's counts depend only on the multiset of
 residuals, so its fast loop is po on a queue kept in ascending order, where
-the FIFO head is the C smallest residuals.  Both loops and the general path walk the
-trace's packet-aligned ``slots``/``works`` columns directly; the general path
-numbers packet ``i`` of the trace as id ``i + 1``.  Both paths produce
-identical counts.
+the FIFO head is the C smallest residuals.  lpo_p's victim is the first maximum
+at or after a bound ``s``: everything before ``s`` was processed in the last
+fill phase or has one cycle left, which no arrival's work undercuts.  Both
+loops and the general path walk the trace's packet-aligned ``slots``/``works``
+columns directly; the general path numbers packet ``i`` of the trace as id
+``i + 1``.  Both paths produce identical counts.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def run(
         if fast is None:
             make_policy(policy)  # raises UnknownPolicyError with the id list
         counts = fast(trace.slots, trace.works, buffer_size, cores)
-        return SimulationResult(policy=policy, buffer_size=buffer_size, cores=cores, **counts)
+        return SimulationResult(policy, buffer_size, cores, *counts)
     return _run_general(trace, policy, buffer_size, cores, record_events)
 
 
@@ -181,16 +183,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 # cell, slower on every access.
 
 
-def _counts(final_slot, transmitted, dropped, pushed, admitted):
-    return {
-        "final_slot": final_slot,
-        "transmitted_count": transmitted,
-        "dropped_count": dropped,
-        "pushout_count": pushed,
-        "admitted_count": admitted,
-    }
-
-
 def _fast_eager(slots, works, B, C, pushout, ordered):
     # npo, po and srpt: every slot processes the first min(C, occupancy)
     # packets.  srpt is po on a queue kept ascending (ordered): a push-out
@@ -244,17 +236,17 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
                 transmitted += len(head) - len(kept)
                 q[:C] = kept
         final = t
-    return _counts(final, transmitted, dropped, pushed, admitted)
+    return final, transmitted, dropped, pushed, admitted
 
 
 def _fast_lazy(slots, works, B, C, spare):
     # lpo and lpo_p.  Marked packets form a prefix of the queue, tracked by
-    # count alone; m > 0 means drain mode.  sel holds the queue positions
-    # processed in the last fill phase (empty during a drain); with spare set
-    # the victim search skips them.
+    # count alone; m > 0 means drain mode.  s is one past the last position the
+    # last fill phase scanned: everything before it was processed or has one
+    # cycle left, and stays put until the next fill, since arrivals join the
+    # tail and victims lie at or after s.  Drained packets leave in their slot.
     q: list[int] = []
-    sel: list[int] = []
-    m = 0
+    s = m = 0
     n = len(slots)
     i = 0
     admitted = dropped = pushed = transmitted = 0
@@ -273,51 +265,40 @@ def _fast_lazy(slots, works, B, C, spare):
                 q.append(w)
                 admitted += 1
                 continue
-            # w >= 1, so a marked packet (residual 1) is never the victim
             mx = max(q)
             if w >= mx:
                 dropped += 1
                 continue
-            if spare:
-                v = q.index(mx)
-                if v in sel:
-                    # the first maximum is spared: search a copy with the
-                    # spared residuals zeroed, which no arrival's work undercuts
-                    rest = q.copy()
-                    for x in sel:
-                        rest[x] = 0
-                    mx = max(rest)
-                    v = rest.index(mx)
-                    if w >= mx:
-                        dropped += 1
-                        continue
-                for idx, x in enumerate(sel):
-                    if x > v:
-                        sel[idx] = x - 1
-                del q[v]
-            else:
-                del q[q.index(mx)]
+            v = q.index(mx)
+            if v < s:
+                mx = max(q[s:], default=0)  # the first maximum is spared
+                if w >= mx:
+                    dropped += 1
+                    continue
+                v = q.index(mx, s)
+            del q[v]
             q.append(w)
             admitted += 1
             pushed += 1
         if q:
             if m == 0:
-                sel = []
-                for idx in range(len(q)):
-                    if q[idx] > 1:
-                        q[idx] -= 1
-                        sel.append(idx)
-                        if len(sel) == C:
+                done = 0
+                for idx, r in enumerate(q):
+                    if r > 1:
+                        q[idx] = r - 1
+                        done += 1
+                        if done == C:
                             break
-                if not sel:
+                if not done:
                     m = len(q)  # everything at one cycle: mark all, drain
+                s = idx + 1 if spare and done else 0
             if m > 0:
                 j = C if C < m else m
                 del q[:j]
                 m -= j
                 transmitted += j
         final = t
-    return _counts(final, transmitted, dropped, pushed, admitted)
+    return final, transmitted, dropped, pushed, admitted
 
 
 _FAST_LOOPS = {

@@ -57,6 +57,8 @@ class SweepConfig:
         for value in self.values:
             if min(self.point(value)) < 1:
                 raise ValueError(f"k, B and C must be >= 1, got (k, B, C) = {self.point(value)}")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"swept values repeat in {self.values}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError(f"policy ids repeat in {self.policies}")
         for pol in tuple(self.policies) + (self.reference,):

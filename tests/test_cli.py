@@ -84,6 +84,11 @@ def test_gen_rejects_bad_construction_params(capsys):
     code = main(["gen", "--construction", "KGEB", "--buffer", "10", "--k", "3", "--out", "/tmp/x"])
     assert code == 2
     assert "k >= B" in capsys.readouterr().err
+    # a generator's required size: --slots for mmpp, --buffer for a construction
+    assert main(["gen", "--mmpp", "--k", "3", "--out", "/tmp/x"]) == 2
+    assert "needs --slots" in capsys.readouterr().err
+    assert main(["gen", "--construction", "KGEB", "--out", "/tmp/x"]) == 2
+    assert "needs --buffer" in capsys.readouterr().err
 
 
 def test_unknown_policy_is_usage_error(tmp_path, capsys):
@@ -138,7 +143,8 @@ def test_sweep_bad_point_or_repeated_policy_is_usage_error(capsys, monkeypatch):
 
 
 def test_sweep_bad_range(capsys):
-    assert main(["sweep", "--param", "k", "--range", "5", "--out", "/tmp/x_"]) == 2
+    for spec in ("5", "5:3", "1:5:0"):
+        assert main(["sweep", "--param", "k", "--range", spec, "--out", "/tmp/x_"]) == 2
 
 
 def test_verify_micro_exit_zero(capsys):
@@ -146,6 +152,11 @@ def test_verify_micro_exit_zero(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS")
     assert "1/1 checks passed" in out
+
+
+def test_verify_constructions_exit_zero(capsys):
+    assert main(["verify", "--suite", "constructions"]) == 0
+    assert "14/14 checks passed" in capsys.readouterr().out
 
 
 def test_verify_count_below_one_is_usage_error(capsys):

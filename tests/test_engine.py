@@ -204,6 +204,17 @@ def test_lpo_p_differs_from_lpo_only_via_in_process():
     assert lpo_push == [(1, 3)]  # plain lazy evicts the 7 (head, max residual)
     assert lpo_p_push == [(2, 3)]  # sparing variant evicts the 5 instead
 
+    # slot 1's fill phase processes positions 0 and 2 and skips the 1 between
+    # them, so lpo_p spares everything before position 3, not before 2 (the
+    # number processed): the victim is the 3, not the processed 5 (now 4)
+    spaced = Trace(slots=[1, 1, 1, 1, 2], works=[5, 1, 5, 3, 2])
+    spaced_lpo_p = run(spaced, "lpo_p", 4, 2, record_events=True)
+    assert [p for ev in spaced_lpo_p.events for p in ev.pushed_out] == [(4, 5)]
+    assert counters(spaced_lpo_p) == (4, 0, 1, 5, 7)  # final slot 7
+    cases = ((lpo, trace, 2, 1), (lpo_p, trace, 2, 1), (spaced_lpo_p, spaced, 4, 2))
+    for general, tr, B, C in cases:
+        assert counters(run(tr, general.policy, B, C)) == counters(general)
+
 
 def test_policy_instance_accepted():
     from fifosim.policies import PoPolicy

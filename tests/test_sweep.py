@@ -158,14 +158,15 @@ def test_config_validation():
         SweepConfig(param="k", values=(1,), policies=("nope",)).validate()
     with pytest.raises(ValueError):
         SweepConfig(param="k", values=(1,), runs=0).validate()
-    # every point needs k, B and C >= 1, each policy id may appear once, and
-    # the master seed must be >= 0
+    # every point needs k, B and C >= 1, each swept value and each policy id
+    # may appear once, and the master seed must be >= 0
     for bad in (
         SweepConfig(param="k", values=(1,), B=0),
         SweepConfig(param="k", values=(1,), C=0),
         SweepConfig(param="k", values=(0, 1, 2, 3)),
         SweepConfig(param="C", values=(0, 1, 2)),
         SweepConfig(param="B", values=(0, 5)),
+        SweepConfig(param="B", values=(12, 3, 7, 3)),
         SweepConfig(param="k", values=(1,), policies=("npo", "npo")),
         SweepConfig(param="k", values=(1,), master_seed=-1),
     ):

@@ -80,6 +80,9 @@ def test_read_rejects_headerless_file(tmp_path):
     path.write_text('{"slot": 1, "work": 2}\n')
     with pytest.raises(TraceError):
         read_trace(path)
+    path.write_text("")
+    with pytest.raises(TraceError, match="empty trace file"):
+        read_trace(path)
 
 
 def test_read_rejects_invalid_contents(tmp_path):

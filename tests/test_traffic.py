@@ -68,6 +68,7 @@ def test_off_rate_poisson_mean():
         dict(p_on_to_off=0.0),
         dict(p_off_to_on=1.5),
         dict(on_count_min=5, on_count_max=3),
+        dict(on_count_min=-1),
         dict(k=0),
         dict(lambda_off=-1.0),
     ],
