@@ -48,43 +48,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstructionError",
-    "gen_adversarial",
-    "BOUND_IDS",
-    "bound_value",
-    "BufferState",
-    "Packet",
-    "SimulationError",
-    "run",
-    "OracleLimitError",
-    "offline_opt_bruteforce",
-    "replay_accept_mask",
-    "ACCEPT",
-    "DROP",
-    "Policy",
-    "UnknownPolicyError",
-    "make_policy",
-    "push_out",
-    "reference_accept_mask",
-    "ResultTable",
-    "SweepConfig",
-    "SweepRow",
-    "derive_run_seed",
-    "emit_plot_data",
-    "sweep",
-    "write_results_csv",
-    "Trace",
-    "TraceError",
-    "read_trace",
-    "validate_trace",
-    "write_trace",
-    "MmppParams",
-    "gen_mmpp",
-    "VerificationReport",
-    "constructions_suite",
-    "golden_suite",
-    "verify_construction",
-    "verify_micro",
-]

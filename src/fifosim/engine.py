@@ -14,6 +14,9 @@ residuals, so its fast loop is po on a queue kept in ascending order, where
 the FIFO head is the C smallest residuals.  lpo_p's victim is the first maximum
 at or after a bound ``s``: everything before ``s`` was processed in the last
 fill phase or has one cycle left, which no arrival's work undercuts.  Both
+loops keep a bound ``top >= max(q)``, raised only by an admission, so an
+arrival at or above it is dropped without a scan; the lazy loop's first ``f``
+packets are at one cycle, so fill and the victim search start at ``f``.  Both
 loops and the general path walk the trace's packet-aligned ``slots``/``works``
 columns directly; the general path numbers packet ``i`` of the trace as id
 ``i + 1``.  Both paths produce identical counts.
@@ -178,9 +181,11 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 # Fast loops: counters only, no Packet objects.  The queue is a plain list of
 # residuals (head at index 0).  Admission order equals list order because
 # arrivals append at the tail, except on srpt's ascending queue, where order
-# does not matter to the counts.  A comprehension here may take a local
-# as its iterable but never read one inside: that makes the local a closure
-# cell, slower on every access.
+# does not matter to the counts.  Only an admission raises a residual, so
+# top >= max(q) holds with no invalidation; a full-buffer arrival below top
+# recomputes it exactly.  A comprehension here may take a local as its
+# iterable but never read one inside: that makes the local a closure cell,
+# slower on every access.
 
 
 def _fast_eager(slots, works, B, C, pushout, ordered):
@@ -194,7 +199,7 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
     n = len(slots)
     i = 0
     admitted = dropped = pushed = transmitted = 0
-    t = final = 0
+    t = final = top = 0
     while True:
         if q:
             t += 1
@@ -204,11 +209,13 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
             break
         while i < n and slots[i] == t:
             if len(q) < B:
-                place(works[i])
-                admitted += 1
-            elif pushout:
                 w = works[i]
-                mx = q[-1] if ordered else max(q)
+                place(w)
+                admitted += 1
+                if w > top:
+                    top = w
+            elif pushout and (w := works[i]) < top:
+                top = mx = q[-1] if ordered else max(q)
                 if w < mx:
                     if ordered:
                         q.pop()
@@ -241,16 +248,17 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
 
 def _fast_lazy(slots, works, B, C, spare):
     # lpo and lpo_p.  Marked packets form a prefix of the queue, tracked by
-    # count alone; m > 0 means drain mode.  s is one past the last position the
-    # last fill phase scanned: everything before it was processed or has one
-    # cycle left, and stays put until the next fill, since arrivals join the
-    # tail and victims lie at or after s.  Drained packets leave in their slot.
+    # count alone; m > 0 means drain mode, and drained packets leave in their
+    # slot.  Fill selected nothing before f, so the first f packets are at one
+    # cycle.  s is one past the last position the last fill scanned: all before
+    # it was processed or is at one cycle and stays put until the next fill, as
+    # arrivals join the tail and victims (residual > w >= 1) lie at or after s.
     q: list[int] = []
-    s = m = 0
+    f = s = m = 0
     n = len(slots)
     i = 0
     admitted = dropped = pushed = transmitted = 0
-    t = final = 0
+    t = final = top = 0
     while True:
         if q:
             t += 1
@@ -264,12 +272,13 @@ def _fast_lazy(slots, works, B, C, spare):
             if len(q) < B:
                 q.append(w)
                 admitted += 1
+                if w > top:
+                    top = w
                 continue
-            mx = max(q)
-            if w >= mx:
+            if w >= top or w >= (top := max(q)):
                 dropped += 1
                 continue
-            v = q.index(mx)
+            v = q.index(top, f)
             if v < s:
                 mx = max(q[s:], default=0)  # the first maximum is spared
                 if w >= mx:
@@ -283,14 +292,18 @@ def _fast_lazy(slots, works, B, C, spare):
         if q:
             if m == 0:
                 done = 0
-                for idx, r in enumerate(q):
+                for idx in range(f, len(q)):
+                    r = q[idx]
                     if r > 1:
                         q[idx] = r - 1
+                        if not done:
+                            f = idx
                         done += 1
                         if done == C:
                             break
                 if not done:
                     m = len(q)  # everything at one cycle: mark all, drain
+                    f = 0
                 s = idx + 1 if spare and done else 0
             if m > 0:
                 j = C if C < m else m

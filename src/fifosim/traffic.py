@@ -58,6 +58,8 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u = rng.random(slots)
     on = np.empty(slots, dtype=bool)

@@ -178,6 +178,7 @@ def test_negative_seed_is_usage_error(capsys, monkeypatch):
         ["verify", "--suite", "micro", "--seed", "-1"],
         ["sweep", "--param", "k", "--range", "1:2", "--slots", "100", "--runs", "1", "--seed", "-1",
          "--out", "/tmp/x_"],
+        ["gen", "--mmpp", "--slots", "10", "--k", "3", "--seed", "-1", "--out", "/tmp/x_.trace"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

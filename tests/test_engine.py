@@ -151,9 +151,12 @@ def test_fast_and_general_paths_agree_at_sweep_scale():
 
 
 def test_fast_srpt_agrees_with_general_on_ties(rng):
-    # the fast loop keeps srpt's queue ascending instead of in admission
-    # order, so ties are where it could part from SrptPolicy: works in
-    # {1, 2, 3}, up to 150 packets over 6 slots, C > B included
+    # ties are where a fast loop could part from its policy: srpt's queue is
+    # kept ascending instead of in admission order, the push-out loops test
+    # arrivals against a bound that can sit above the true maximum, there
+    # are duplicate maxima, lpo_p spares a first maximum and lpo drains an
+    # all-ones queue.  Works in {1, 2, 3}, up to 150 packets over 6 slots,
+    # C > B included
     dims = [(1, 1), (1, 10), (2, 10), (5, 7), (40, 1), (40, 10)]
     dims += [(int(rng.integers(1, 41)), int(rng.integers(1, 11))) for _ in range(94)]
     for B, C in dims:
@@ -161,9 +164,32 @@ def test_fast_srpt_agrees_with_general_on_ties(rng):
         slots = sorted(int(s) for s in rng.integers(1, 7, n))
         works = [int(w) for w in rng.integers(1, 4, n)]
         trace = Trace(slots=slots, works=works, k_declared=3)
-        fast = run(trace, "srpt", B, C)
-        slow = run(trace, "srpt", B, C, record_events=True)
-        assert counters(fast) == counters(slow), (B, C, slots, works)
+        for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
+            fast = run(trace, pol, B, C)
+            slow = run(trace, pol, B, C, record_events=True)
+            assert counters(fast) == counters(slow), (pol, B, C, slots, works)
+
+
+def test_pushout_below_a_stale_maximum_recomputes_then_drops():
+    # B = 2: the 3 pushes out the 5, leaving [4, 3], so the last arrival's
+    # work 4 is below the largest residual ever admitted but equals the true
+    # maximum and must be dropped
+    trace = make_trace([(1, [5, 4, 3, 4])])
+    for pol in ("po", "lpo", "lpo_p", "srpt"):
+        fast = run(trace, pol, 2, 1)
+        assert counters(fast) == counters(run(trace, pol, 2, 1, record_events=True)), pol
+        assert (fast.pushout_count, fast.dropped_count) == (1, 1), pol
+
+
+def test_lpo_victim_right_after_one_cycle_prefix():
+    # slot 1 grinds the 4 at position 2 down to 3 behind two one-cycle
+    # packets; at slot 2 that 3 is the victim of the work-2 arrival
+    trace = make_trace([(1, [1, 1, 4, 2]), (2, [2])])
+    fast = run(trace, "lpo", 4, 1)
+    slow = run(trace, "lpo", 4, 1, record_events=True)
+    assert counters(fast) == counters(slow)
+    assert [ev.pushed_out for ev in slow.events if ev.pushed_out] == [[(3, 5)]]
+    assert counters(fast) == (4, 0, 1, 5, 7)
 
 
 def test_lpo_holds_finished_packets_until_drain():

@@ -81,3 +81,8 @@ def test_invalid_params_rejected(kwargs):
 def test_slot_count_must_be_positive():
     with pytest.raises(ValueError):
         gen_mmpp(MmppParams(), 0, seed=1)
+
+
+def test_negative_seed_names_the_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        gen_mmpp(MmppParams(), 10, seed=-1)
