@@ -57,6 +57,7 @@ class SweepConfig:
         for value in self.values:
             if min(self.point(value)) < 1:
                 raise ValueError(f"k, B and C must be >= 1, got (k, B, C) = {self.point(value)}")
+        self.params(self.point(self.values[0])[0])  # raises on bad ON-OFF settings
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"swept values repeat in {self.values}")
         if len(set(self.policies)) != len(self.policies):
@@ -64,6 +65,17 @@ class SweepConfig:
         for pol in tuple(self.policies) + (self.reference,):
             if pol not in POLICY_IDS:
                 raise ValueError(f"unknown policy id {pol!r}")
+
+    def params(self, k: int) -> MmppParams:
+        """The ON-OFF traffic parameters of every cell with work bound k."""
+        return MmppParams(
+            lambda_off=self.lambda_off,
+            on_count_min=self.on_count_min,
+            on_count_max=self.on_count_max,
+            p_on_to_off=self.p_on_to_off,
+            p_off_to_on=self.p_off_to_on,
+            k=k,
+        )
 
     def point(self, value: int) -> tuple[int, int, int]:
         """(k, B, C) at one swept value."""
@@ -113,15 +125,7 @@ def derive_run_seed(master_seed: int, point_index: int, run_index: int) -> int:
 def _run_cell(config: SweepConfig, value: int, seed: int) -> dict[str, int]:
     """Transmitted counts on one trace: the reference first, then each policy."""
     k, B, C = config.point(value)
-    params = MmppParams(
-        lambda_off=config.lambda_off,
-        on_count_min=config.on_count_min,
-        on_count_max=config.on_count_max,
-        p_on_to_off=config.p_on_to_off,
-        p_off_to_on=config.p_off_to_on,
-        k=k,
-    )
-    trace = gen_mmpp(params, config.slots, seed)
+    trace = gen_mmpp(config.params(k), config.slots, seed)
     return {
         pol: run(trace, pol, B, C, validate=False).transmitted_count
         for pol in dict.fromkeys((config.reference, *config.policies))

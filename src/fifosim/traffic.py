@@ -33,8 +33,8 @@ class MmppParams:
             raise ValueError("on_count_min must not exceed on_count_max")
         if self.on_count_min < 0:
             raise ValueError("on_count_min must be >= 0")
-        if self.lambda_off < 0:
-            raise ValueError("lambda_off must be >= 0")
+        if not 0 <= self.lambda_off < float("inf"):  # false for nan too
+            raise ValueError(f"lambda_off must be finite and >= 0, got {self.lambda_off}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 

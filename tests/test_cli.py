@@ -87,6 +87,8 @@ def test_gen_rejects_bad_construction_params(capsys):
     # a generator's required size: --slots for mmpp, --buffer for a construction
     assert main(["gen", "--mmpp", "--k", "3", "--out", "/tmp/x"]) == 2
     assert "needs --slots" in capsys.readouterr().err
+    assert main(["gen", "--mmpp", "--slots", "10", "--k", "3", "--lambda-off", "nan", "--out", "/tmp/x"]) == 2
+    assert "lambda_off must be finite" in capsys.readouterr().err
     assert main(["gen", "--construction", "KGEB", "--out", "/tmp/x"]) == 2
     assert "needs --buffer" in capsys.readouterr().err
 

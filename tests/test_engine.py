@@ -181,6 +181,19 @@ def test_pushout_below_a_stale_maximum_recomputes_then_drops():
         assert (fast.pushout_count, fast.dropped_count) == (1, 1), pol
 
 
+def test_adjacent_head_packets_finish_together_on_three_cores():
+    # C = 3: in slot 1 the two 1s at the head finish together, the 2 right
+    # behind them slides to the head and is processed but stays, and the 3s
+    # wait outside the three-packet head.  Skipping the packet that slides
+    # into a freed position, or processing one that slides into the head from
+    # behind it, changes the counts
+    trace = make_trace([(1, [1, 1, 2, 3, 3])])
+    for pol in ("npo", "po", "srpt"):
+        fast = run(trace, pol, 5, 3)
+        assert counters(fast) == counters(run(trace, pol, 5, 3, record_events=True)), pol
+        assert counters(fast) == (5, 0, 0, 5, 4), pol
+
+
 def test_lpo_victim_right_after_one_cycle_prefix():
     # slot 1 grinds the 4 at position 2 down to 3 behind two one-cycle
     # packets; at slot 2 that 3 is the victim of the work-2 arrival

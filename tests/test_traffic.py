@@ -71,6 +71,8 @@ def test_off_rate_poisson_mean():
         dict(on_count_min=-1),
         dict(k=0),
         dict(lambda_off=-1.0),
+        dict(lambda_off=float("nan")),
+        dict(lambda_off=float("inf")),
     ],
 )
 def test_invalid_params_rejected(kwargs):
