@@ -1,12 +1,10 @@
-"""Brute-force offline optimum for micro instances.
+"""Exact offline optimum for small instances.
 
 The search space is accept/reject decisions only: an offline schedule gains
 nothing from admitting a packet it will later evict, since rejecting it at
 arrival frees the same space earlier.  Given the decisions, processing is the
 forced work-conserving FIFO schedule, so every admitted packet is eventually
-transmitted and the optimum is the largest feasible admission set.  A debug
-flag widens the search with per-arrival eviction choices to let tests confirm
-the restriction loses nothing on micro instances.
+transmitted and the optimum is the largest feasible admission set.
 """
 
 from __future__ import annotations
@@ -16,107 +14,81 @@ from dataclasses import dataclass
 from .core import BufferState
 from .engine import run
 from .policies import ACCEPT, DROP, NpoPolicy
-from .trace import Trace
+from .trace import Trace, TraceError, validate_trace
+
+# cap on the (packet, queue) states stored over a whole search; each costs
+# about 200 bytes on CPython 3.11, so a search stays under about 250 MB
+_MAX_STATES = 1_000_000
 
 
 class OracleLimitError(ValueError):
-    """Instance exceeds the oracle's exhaustive-search limits."""
+    """Instance exceeds the oracle's state limit."""
 
 
 @dataclass
 class OracleResult:
     throughput: int
-    accept_mask: tuple[bool, ...] | None
+    accept_mask: tuple[bool, ...]
     explored: int
 
 
-def offline_opt_bruteforce(
-    trace: Trace,
-    B: int,
-    C: int = 1,
-    *,
-    max_packets: int = 14,
-    allow_pushout: bool = False,
-) -> OracleResult:
-    """Exhaustively maximise transmitted packets over admission decisions.
+def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
+    """Maximise transmitted packets over admission decisions.
 
-    Memoised on (next packet index, residual queue contents); the slot is
-    implied by the index.  Refuses instances above ``max_packets`` rather
-    than silently truncating.  With ``allow_pushout`` the search may also
-    admit into a full buffer by evicting any one resident packet (slower;
-    no accept mask is reconstructed in that mode).
+    A dynamic program over (next packet index, residual queue contents); the
+    slot is implied by the index.  ``explored`` counts the reachable states
+    (1 on the empty trace).  Where accepting a packet ties with rejecting it,
+    the mask rejects it.  An invalid trace raises :class:`TraceError`, and a
+    search above ``_MAX_STATES`` states raises :class:`OracleLimitError`
+    rather than silently truncating.
     """
-    slots, works = trace.slots, trace.works
-    n = len(slots)
-    if n > max_packets:
-        raise OracleLimitError(
-            f"instance has {n} packets, above the exhaustive-search limit {max_packets}"
-        )
+    errors = validate_trace(trace)
+    if errors:
+        raise TraceError("invalid trace: " + "; ".join(errors))
     if B < 1 or C < 1:
         raise ValueError("B and C must be >= 1")
-    if n == 0:
-        return OracleResult(0, (), 1)
+    slots, works = trace.slots, trace.works
+    n = len(slots)
 
     def advance(queue: tuple[int, ...], nslots: int) -> tuple[int, ...]:
-        q = list(queue)
+        # work-conserving FIFO: the first min(C, occupancy) residuals each lose one
         for _ in range(nslots):
-            if not q:
+            if not queue:
                 break
-            j = C if C < len(q) else len(q)
-            keep = []
-            for idx, r in enumerate(q):
-                r = r - 1 if idx < j else r
-                if r:
-                    keep.append(r)
-            q = keep
-        return tuple(q)
+            queue = tuple([r - 1 for r in queue[:C] if r > 1]) + queue[C:]
+        return queue
 
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-
-    def best(i: int, queue: tuple[int, ...]) -> int:
-        # value = transmissions gained by decisions on packets i..n-1; every
-        # admitted-and-never-evicted packet transmits, so an accept counts 1
-        # and an accept-by-eviction nets 0 (the victim's earlier 1 is undone)
-        if i == n:
-            return 0
-        key = (i, queue)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
+    # forward pass: each reachable queue before packet i -> the queue before
+    # packet i + 1 if i is rejected, and if it is accepted (None: buffer full)
+    layers: list[dict] = []
+    frontier = {()}
+    stored = 0
+    for i in range(n):
+        stored += len(frontier)
+        if stored > _MAX_STATES:
+            raise OracleLimitError(f"search needs more than {_MAX_STATES} states")
         gap = slots[i + 1] - slots[i] if i + 1 < n else 0
+        w = (works[i],)
+        layer = {q: (advance(q, gap), advance(q + w, gap) if len(q) < B else None) for q in frontier}
+        layers.append(layer)
+        frontier = {q for pair in layer.values() for q in pair if q is not None}
 
-        def settle(q_after: tuple[int, ...]) -> int:
-            return best(i + 1, advance(q_after, gap) if gap else q_after)
+    # backward pass: from each queue, the most later packets that can still be
+    # admitted, each of which is then transmitted
+    values = [dict.fromkeys(frontier, 0)]
+    for layer in reversed(layers):
+        after = values[-1]
+        values.append({q: max(after[r], 0 if a is None else 1 + after[a]) for q, (r, a) in layer.items()})
+    values.reverse()
 
-        value = settle(queue)
-        choice = -1  # reject
-        if len(queue) < B:
-            v = 1 + settle(queue + (works[i],))
-            if v > value:
-                value, choice = v, n  # plain accept marker
-        elif allow_pushout:
-            for victim in range(len(queue)):
-                q2 = queue[:victim] + queue[victim + 1 :] + (works[i],)
-                v = settle(q2)
-                if v > value:
-                    value, choice = v, victim
-        memo[key] = (value, choice)
-        return value
-
-    throughput = best(0, ())
-    mask = None
-    if not allow_pushout:
-        decided = []
-        queue: tuple[int, ...] = ()
-        for i in range(n):
-            choice = memo[(i, queue)][1]
-            decided.append(choice == n)
-            if choice == n:
-                queue = queue + (works[i],)
-            if i + 1 < n and slots[i + 1] > slots[i]:
-                queue = advance(queue, slots[i + 1] - slots[i])
-        mask = tuple(decided)
-    return OracleResult(throughput, mask, len(memo))
+    # forward walk from the empty queue: accept only where strictly better
+    mask = []
+    queue: tuple[int, ...] = ()
+    for layer, after in zip(layers, values[1:]):
+        rej, acc = layer[queue]
+        mask.append(acc is not None and 1 + after[acc] > after[rej])
+        queue = acc if mask[-1] else rej
+    return OracleResult(values[0][()], tuple(mask), stored or 1)
 
 
 class ScriptedAdmissionPolicy(NpoPolicy):

@@ -1,14 +1,18 @@
-"""Brute-force offline optimum: frozen examples, exhaustive cross-check, replay."""
+"""Offline optimum: frozen examples, exhaustive and push-out cross-checks, replay."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
+import fifosim.oracle
 from fifosim import (
     OracleLimitError,
     SimulationError,
     Trace,
+    TraceError,
+    gen_adversarial,
     offline_opt_bruteforce,
     replay_accept_mask,
     run,
@@ -25,9 +29,11 @@ def test_single_packet():
 
 
 def test_rejecting_heavy_head_is_no_better_at_b1():
-    # {k, 1} in one slot with B=1: either admission transmits exactly one
+    # {k, 1} in one slot with B=1: either admission transmits exactly one,
+    # and on the tie the mask rejects
     result = offline_opt_bruteforce(make_trace([(1, [9, 1])]), B=1)
     assert result.throughput == 1
+    assert result.accept_mask == (False, True)
 
 
 def test_same_slot_burst_capped_by_buffer():
@@ -49,14 +55,41 @@ def test_empty_trace():
     result = offline_opt_bruteforce(make_trace([]), B=3)
     assert result.throughput == 0
     assert result.accept_mask == ()
+    assert result.explored == 1
 
 
-def test_limit_refusal_is_explicit():
+@pytest.mark.parametrize(
+    "trace",
+    [
+        Trace(slots=[2, 1], works=[1, 1]),  # decreasing slots
+        Trace(slots=[0], works=[1]),  # slot below 1
+        Trace(slots=[1], works=[0]),  # no work
+        Trace(slots=[1, 1], works=[1]),  # columns of unequal length
+    ],
+)
+def test_invalid_trace_is_refused(trace):
+    with pytest.raises(TraceError):
+        offline_opt_bruteforce(trace, B=1)
+
+
+def test_limit_refusal_is_explicit(monkeypatch):
+    # the limit is on stored states, not packets: 15 same-slot singles solve
     trace = make_trace([(1, [1] * 15)])
+    assert offline_opt_bruteforce(trace, B=2).throughput == 2
+    monkeypatch.setattr(fifosim.oracle, "_MAX_STATES", 20)
     with pytest.raises(OracleLimitError):
         offline_opt_bruteforce(trace, B=2)
-    # raising the limit keeps it usable
-    assert offline_opt_bruteforce(trace, B=2, max_packets=15).throughput == 2
+
+
+def test_long_construction_trace():
+    # 980 packets; the construction's claimed reference schedule is feasible
+    # but one packet per period short of the optimum
+    adv = gen_adversarial("PO_KLTB", B=40, k=2, periods=10)
+    result = offline_opt_bruteforce(adv.trace, B=40)
+    assert adv.trace.packet_count == 980
+    assert result.throughput == 790
+    assert adv.claimed_total["reference"] == 780
+    assert replay_accept_mask(adv.trace, result.accept_mask, 40).transmitted_count == 790
 
 
 def _exhaustive_best(trace, B, C):
@@ -85,8 +118,9 @@ def test_mask_replay_reproduces_throughput(rng):
     for _ in range(60):
         trace = random_trace(rng, max_packets=10, max_slot=8, max_k=4)
         B = int(rng.integers(1, 4))
-        result = offline_opt_bruteforce(trace, B, 1)
-        replayed = replay_accept_mask(trace, result.accept_mask, B, 1)
+        C = int(rng.integers(1, 4))
+        result = offline_opt_bruteforce(trace, B, C)
+        replayed = replay_accept_mask(trace, result.accept_mask, B, C)
         assert replayed.transmitted_count == result.throughput
         assert replayed.pushout_count == 0
 
@@ -95,9 +129,10 @@ def test_dominates_online_policies(rng):
     for _ in range(40):
         trace = random_trace(rng, max_packets=10, max_slot=8, max_k=4)
         B = int(rng.integers(2, 4))
-        opt = offline_opt_bruteforce(trace, B, 1).throughput
+        C = int(rng.integers(1, 4))
+        opt = offline_opt_bruteforce(trace, B, C).throughput
         for pol in ("npo", "po", "lpo", "lpo_p"):
-            assert run(trace, pol, B, 1).transmitted_count <= opt
+            assert run(trace, pol, B, C).transmitted_count <= opt
 
 
 def test_srpt_at_least_oracle_at_one_core():
@@ -134,15 +169,44 @@ def test_monotone_under_added_packet(rng):
         assert offline_opt_bruteforce(bigger, B=2).throughput >= base
 
 
+def _pushout_search(trace, B, C):
+    """Independent search that may also admit a packet by evicting any resident.
+
+    An eviction nets 0: the new packet's transmission replaces the victim's.
+    """
+    slots, works, n = trace.slots, trace.works, trace.packet_count
+
+    def advance(queue, nslots):
+        q = list(queue)
+        for _ in range(nslots):
+            head = [r - 1 for r in q[:C]]
+            q = [r for r in head if r] + q[C:]
+        return tuple(q)
+
+    @functools.lru_cache(maxsize=None)
+    def best(i, queue):
+        if i == n:
+            return 0
+        gap = slots[i + 1] - slots[i] if i + 1 < n else 0
+        value = best(i + 1, advance(queue, gap))
+        if len(queue) < B:
+            value = max(value, 1 + best(i + 1, advance(queue + (works[i],), gap)))
+        for victim in range(len(queue)):
+            evicted = queue[:victim] + queue[victim + 1 :] + (works[i],)
+            value = max(value, best(i + 1, advance(evicted, gap)))
+        return value
+
+    return best(0, ())
+
+
 def test_widened_search_gains_nothing(rng):
     # rejection-at-arrival dominates later eviction for an offline schedule;
-    # confirm empirically with the push-out-widened search
-    for _ in range(25):
+    # confirm empirically with a search that may also push out, on 1-3 cores
+    for _ in range(60):
         trace = random_trace(rng, max_packets=8, max_slot=8, max_k=4)
         B = int(rng.integers(1, 4))
-        plain = offline_opt_bruteforce(trace, B, 1)
-        widened = offline_opt_bruteforce(trace, B, 1, allow_pushout=True)
-        assert widened.throughput == plain.throughput
+        C = int(rng.integers(1, 4))
+        assert _pushout_search(trace, B, C) == offline_opt_bruteforce(trace, B, C).throughput
 
 
 def test_explored_counts_states():
