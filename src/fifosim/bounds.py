@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class BoundValue:
-    bound_id: str
-    k: int
-    B: int
     value: float
     note: str
 
@@ -73,4 +70,4 @@ def bound_value(bound_id: str, k: int = 1, B: int = 1) -> BoundValue:
     if k < 1 or B < 1:
         raise ValueError("k and B must be >= 1")
     fn, note = _FORMULAS[name]
-    return BoundValue(name, k, B, fn(k, B), note)
+    return BoundValue(fn(k, B), note)

@@ -14,7 +14,6 @@ class Packet:
     """A unit-size packet: total required work and the work still owed."""
 
     id: int
-    arrival_slot: int
     required_work: int
     residual_work: int
 

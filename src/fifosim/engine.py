@@ -28,7 +28,7 @@ from bisect import insort
 from functools import partial
 
 from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
-from .policies import make_policy
+from .policies import ACCEPT, DROP, AdmissionDecision, make_policy
 from .trace import Trace, TraceError, validate_trace
 
 
@@ -54,11 +54,9 @@ def run(
         errors = validate_trace(trace)
         if errors:
             raise TraceError("invalid trace: " + "; ".join(errors))
-    if isinstance(policy, str) and not record_events:
-        fast = _FAST_LOOPS.get(policy)
-        if fast is None:
-            make_policy(policy)  # raises UnknownPolicyError with the id list
-        counts = fast(trace.slots, trace.works, buffer_size, cores)
+    # a @dataclass Policy is unhashable, so only a str is looked up
+    if isinstance(policy, str) and policy in _FAST_LOOPS and not record_events:
+        counts = _FAST_LOOPS[policy](trace.slots, trace.works, buffer_size, cores)
         return SimulationResult(policy, buffer_size, cores, *counts)
     return _run_general(trace, policy, buffer_size, cores, record_events)
 
@@ -72,7 +70,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
     i = 0
     admitted = dropped = pushed = transmitted = 0
     t = 0
-    final_slot = 0
     log: list[SlotEvents] | None = [] if record_events else None
 
     while True:
@@ -86,17 +83,23 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 
         # phase (i): arrivals, one offer at a time
         while i < n and slots[i] == t:
-            pkt = Packet(i + 1, t, works[i], works[i])
+            pkt = Packet(i + 1, works[i], works[i])
             i += 1
             decision = pol.on_arrival(state, pkt)
-            if decision.is_accept:
+            if decision is ACCEPT:
                 if state.is_full():
                     raise SimulationError(f"{pol.name}: accept with a full buffer at slot {t}")
                 queue.append(pkt)
                 admitted += 1
                 if slot_ev:
                     slot_ev.admitted.append(pkt.id)
-            elif decision.is_pushout:
+            elif decision is DROP:
+                dropped += 1
+                if slot_ev:
+                    slot_ev.dropped_on_arrival.append(pkt.id)
+            elif not isinstance(decision, AdmissionDecision):
+                raise SimulationError(f"{pol.name}: on_arrival answered {decision!r} at slot {t}")
+            else:
                 victim = next((p for p in queue if p.id == decision.victim_id), None)
                 if victim is None:
                     raise SimulationError(
@@ -115,13 +118,11 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
                 if slot_ev:
                     slot_ev.pushed_out.append((victim.id, pkt.id))
                     slot_ev.admitted.append(pkt.id)
-            else:
-                dropped += 1
-                if slot_ev:
-                    slot_ev.dropped_on_arrival.append(pkt.id)
 
         # phase (ii): processing
         selected = pol.select_processing(state, cores)
+        if not isinstance(selected, (list, tuple)):
+            raise SimulationError(f"{pol.name}: select_processing answered {selected!r} at slot {t}")
         if len(selected) > cores:
             raise SimulationError(f"{pol.name}: selected {len(selected)} > C={cores}")
         if selected:
@@ -155,7 +156,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
         elif queue and i >= n:
             raise SimulationError(f"{pol.name}: no progress with {len(queue)} packets queued")
 
-        final_slot = t
         if log is not None:
             log.append(slot_ev)
 
@@ -168,7 +168,7 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
         policy=pol.name,
         buffer_size=buffer_size,
         cores=cores,
-        final_slot=final_slot,
+        final_slot=t,
         transmitted_count=transmitted,
         dropped_count=dropped,
         pushout_count=pushed,
@@ -199,7 +199,7 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
     n = len(slots)
     i = 0
     admitted = dropped = pushed = transmitted = 0
-    t = final = top = 0
+    t = top = 0
     while True:
         if q:
             t += 1
@@ -251,8 +251,7 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
                         del q[j]
                         h -= 1
                         transmitted += 1
-        final = t
-    return final, transmitted, dropped, pushed, admitted
+    return t, transmitted, dropped, pushed, admitted
 
 
 def _fast_lazy(slots, works, B, C, spare):
@@ -267,7 +266,7 @@ def _fast_lazy(slots, works, B, C, spare):
     n = len(slots)
     i = 0
     admitted = dropped = pushed = transmitted = 0
-    t = final = top = 0
+    t = top = 0
     while True:
         if q:
             t += 1
@@ -319,8 +318,7 @@ def _fast_lazy(slots, works, B, C, spare):
                 del q[:j]
                 m -= j
                 transmitted += j
-        final = t
-    return final, transmitted, dropped, pushed, admitted
+    return t, transmitted, dropped, pushed, admitted
 
 
 _FAST_LOOPS = {

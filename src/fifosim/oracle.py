@@ -92,20 +92,17 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
 
 
 class ScriptedAdmissionPolicy(NpoPolicy):
-    """Replay a fixed accept/reject mask; npo's FIFO processing."""
+    """Replay a fixed accept/reject mask; npo's FIFO processing.  The engine
+    numbers packet i of the trace as id i + 1, so that is its mask entry."""
 
     name = "scripted"
 
     def __init__(self, mask):
         self.mask = tuple(mask)
-        self._next = 0
 
     def on_arrival(self, state: BufferState, packet):
-        i = self._next
-        self._next += 1
-        if i < len(self.mask) and self.mask[i]:
-            return ACCEPT
-        return DROP
+        i = packet.id - 1
+        return ACCEPT if i < len(self.mask) and self.mask[i] else DROP
 
 
 def replay_accept_mask(trace: Trace, mask, B: int, C: int = 1):

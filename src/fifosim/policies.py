@@ -1,15 +1,17 @@
 """The five buffer-management policies, each one :class:`Policy` subclass.
 
-Admission returns an :class:`AdmissionDecision`; processing selection returns
-packet ids (at most C of them).  Every zero-residual packet leaves in the
-transmission phase, so a policy controls departures through selection alone.
-The lazy policies keep their cross-phase state (the ids being drained, and
-for lpo_p the last selection) on the instance.
+Admission answers ``ACCEPT``, ``DROP`` or ``push_out(victim_id)``; processing
+selection answers a list or tuple of at most C packet ids, and the engine
+raises :class:`SimulationError` on anything else.  Every zero-residual packet
+leaves in the transmission phase, so a policy controls departures through
+selection alone.  The lazy policies keep their cross-phase state (the ids
+being drained, and for lpo_p the last selection) on the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .core import BufferState, Packet
 
@@ -18,26 +20,19 @@ class UnknownPolicyError(ValueError):
     """Raised for a policy id outside the registry."""
 
 
+# the two answers that carry no data, told apart by identity
+ACCEPT, DROP = Enum("Admission", "ACCEPT DROP")
+
+
 @dataclass(frozen=True)
 class AdmissionDecision:
-    action: str  # "accept" | "drop" | "pushout"
-    victim_id: int | None = None
+    """The third answer: admit the arrival by evicting packet ``victim_id``."""
 
-    @property
-    def is_accept(self) -> bool:
-        return self.action == "accept"
-
-    @property
-    def is_pushout(self) -> bool:
-        return self.action == "pushout"
-
-
-ACCEPT = AdmissionDecision("accept")
-DROP = AdmissionDecision("drop")
+    victim_id: int
 
 
 def push_out(victim_id: int) -> AdmissionDecision:
-    return AdmissionDecision("pushout", victim_id)
+    return AdmissionDecision(victim_id)
 
 
 class Policy:
@@ -45,7 +40,7 @@ class Policy:
 
     name = "?"
 
-    def on_arrival(self, state: BufferState, packet: Packet) -> AdmissionDecision:
+    def on_arrival(self, state: BufferState, packet: Packet):
         raise NotImplementedError
 
     def select_processing(self, state: BufferState, cores: int) -> list[int]:

@@ -60,6 +60,8 @@ class SweepConfig:
         self.params(self.point(self.values[0])[0])  # raises on bad ON-OFF settings
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"swept values repeat in {self.values}")
+        if not self.policies:
+            raise ValueError(f"sweep needs at least one policy, got policies={self.policies!r}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError(f"policy ids repeat in {self.policies}")
         for pol in tuple(self.policies) + (self.reference,):

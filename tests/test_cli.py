@@ -139,6 +139,7 @@ def test_sweep_bad_point_or_repeated_policy_is_usage_error(capsys, monkeypatch):
         ["--param", "k", "--range", "0:3"],
         ["--param", "C", "--range", "0:2"],
         ["--param", "k", "--range", "1:2", "--policies", "npo,npo"],
+        ["--param", "k", "--range", "1:2", "--policies", ","],  # no ids at all
     ):
         assert main(base + extra) == 2, extra
         assert "error" in capsys.readouterr().err

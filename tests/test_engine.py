@@ -1,6 +1,7 @@
 """Engine behaviour: phase order, drain to empty, accounting, determinism."""
 
 import itertools
+from enum import Enum
 
 import pytest
 
@@ -13,9 +14,12 @@ from fifosim import (
     TraceError,
     UnknownPolicyError,
     gen_mmpp,
+    make_policy,
     push_out,
     run,
 )
+from fifosim import engine
+from fifosim.policies import POLICY_IDS, AdmissionDecision
 
 from conftest import make_trace, replay_event_log
 
@@ -75,8 +79,14 @@ def test_invalid_trace_rejected_before_slot_one():
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(UnknownPolicyError):
-        run(make_trace([(1, [1])]), "optimal", 2, 1)
+    for record_events in (False, True):
+        with pytest.raises(UnknownPolicyError):
+            run(make_trace([(1, [1])]), "optimal", 2, 1, record_events=record_events)
+
+
+def test_every_registered_id_has_a_fast_loop():
+    # an id without one would silently run on the general path
+    assert set(engine._FAST_LOOPS) == set(POLICY_IDS)
 
 
 def test_bad_dimensions_rejected():
@@ -136,7 +146,7 @@ def test_fast_and_general_paths_agree(rng):
         trace = random_trace(rng, max_packets=120, max_k=40)
         for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
             fast = run(trace, pol, B, C)
-            slow = run(trace, pol, B, C, record_events=True)
+            slow = run(trace, make_policy(pol), B, C)
             assert counters(fast) == counters(slow), (pol, B, C, trace.slots, trace.works)
 
 
@@ -146,7 +156,7 @@ def test_fast_and_general_paths_agree_at_sweep_scale():
     trace = gen_mmpp(MmppParams(k=5), 100_000, seed=2024)
     for pol, cores in itertools.product(("npo", "po", "lpo", "lpo_p", "srpt"), (1, 5)):
         fast = run(trace, pol, 10, cores, validate=False)
-        slow = run(trace, pol, 10, cores, record_events=True, validate=False)
+        slow = run(trace, make_policy(pol), 10, cores, validate=False)
         assert counters(fast) == counters(slow), (pol, cores)
 
 
@@ -166,7 +176,7 @@ def test_fast_srpt_agrees_with_general_on_ties(rng):
         trace = Trace(slots=slots, works=works, k_declared=3)
         for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
             fast = run(trace, pol, B, C)
-            slow = run(trace, pol, B, C, record_events=True)
+            slow = run(trace, make_policy(pol), B, C)
             assert counters(fast) == counters(slow), (pol, B, C, slots, works)
 
 
@@ -177,7 +187,7 @@ def test_pushout_below_a_stale_maximum_recomputes_then_drops():
     trace = make_trace([(1, [5, 4, 3, 4])])
     for pol in ("po", "lpo", "lpo_p", "srpt"):
         fast = run(trace, pol, 2, 1)
-        assert counters(fast) == counters(run(trace, pol, 2, 1, record_events=True)), pol
+        assert counters(fast) == counters(run(trace, make_policy(pol), 2, 1)), pol
         assert (fast.pushout_count, fast.dropped_count) == (1, 1), pol
 
 
@@ -190,7 +200,7 @@ def test_adjacent_head_packets_finish_together_on_three_cores():
     trace = make_trace([(1, [1, 1, 2, 3, 3])])
     for pol in ("npo", "po", "srpt"):
         fast = run(trace, pol, 5, 3)
-        assert counters(fast) == counters(run(trace, pol, 5, 3, record_events=True)), pol
+        assert counters(fast) == counters(run(trace, make_policy(pol), 5, 3)), pol
         assert counters(fast) == (5, 0, 0, 5, 4), pol
 
 
@@ -282,3 +292,38 @@ def test_bad_ids_from_custom_policy_raise_simulation_error():
     for policy in (EvictsStranger(), SelectsStranger()):
         with pytest.raises(SimulationError, match="unknown packet 999"):
             run(trace, policy, 2, 1)
+
+
+class Answers(Policy):
+    """Gives the same admission answer to every arrival and the same selection
+    to every processing phase."""
+
+    name = "misbehaving"
+
+    def __init__(self, admission, selection):
+        self.admission = admission
+        self.selection = selection
+
+    def on_arrival(self, state, packet):
+        return self.admission
+
+    def select_processing(self, state, cores):
+        return self.selection
+
+
+@pytest.mark.parametrize(
+    "admission, selection",
+    [
+        (None, []),
+        ("accept", []),
+        (AdmissionDecision("acept"), []),  # neither ACCEPT, DROP nor a push-out of a packet
+        (Enum("Admission", "ACCEPT DROP").ACCEPT, []),  # equal in name only to ACCEPT
+        (ACCEPT, None),
+    ],
+    ids=["arrival-none", "arrival-string", "arrival-misspelt", "arrival-look-alike", "selection-none"],
+)
+def test_malformed_policy_answers_raise_simulation_error(admission, selection):
+    # each names the policy and the slot, instead of a bare AttributeError or
+    # TypeError, or a silent drop of every packet
+    with pytest.raises(SimulationError, match=r"^misbehaving: .* at slot 3$"):
+        run(make_trace([(3, [2])]), Answers(admission, selection), 2, 1)

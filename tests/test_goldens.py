@@ -2,7 +2,7 @@
 
 The engine grid is every policy x k in {1, 5, 40} x B in {1, 10, 40} x
 C in {1, 5, 10} on one seeded 2000-slot ON-OFF trace per k, run on both the
-fast path and the event-logging path.  The construction rows hold the target
+fast path and the general path.  The construction rows hold the target
 and comparator counters of every construction at its golden-suite and
 constructions-suite settings; a "reference" comparator is the replay of its
 accept mask.  The trace rows pin the generated traffic, and the
@@ -24,7 +24,16 @@ from pathlib import Path
 
 import pytest
 
-from fifosim import MmppParams, gen_adversarial, gen_mmpp, reference_accept_mask, replay_accept_mask, run, write_trace
+from fifosim import (
+    MmppParams,
+    gen_adversarial,
+    gen_mmpp,
+    make_policy,
+    reference_accept_mask,
+    replay_accept_mask,
+    run,
+    write_trace,
+)
 from fifosim.verify import CONSTRUCTION_CASES, GOLDEN_CASES, constructions_suite, golden_suite, verify_micro
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_counters.json"
@@ -80,7 +89,7 @@ def engine_rows(k: int) -> list[dict]:
         for C in CS:
             for pol in POLICIES:
                 fast = _counters(run(trace, pol, B, C))
-                general = _counters(run(trace, pol, B, C, record_events=True))
+                general = _counters(run(trace, make_policy(pol), B, C))
                 assert fast == general, (pol, k, B, C, fast, general)
                 rows.append({"policy": pol, "k": k, "B": B, "C": C, **fast})
     return rows

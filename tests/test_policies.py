@@ -2,16 +2,16 @@
 
 import pytest
 
-from fifosim import ACCEPT, DROP, BufferState, Packet, UnknownPolicyError, make_policy
+from fifosim import ACCEPT, DROP, BufferState, Packet, UnknownPolicyError, make_policy, push_out
 
 
 def state_of(residuals, capacity):
-    queue = [Packet(i + 1, 1, max(r, 1), r) for i, r in enumerate(residuals)]
+    queue = [Packet(i + 1, max(r, 1), r) for i, r in enumerate(residuals)]
     return BufferState(capacity=capacity, queue=queue)
 
 
 def pkt(work, pid=99):
-    return Packet(pid, 1, work, work)
+    return Packet(pid, work, work)
 
 
 # --- non-push-out admission ---
@@ -34,7 +34,7 @@ def test_npo_accepts_into_empty_buffer():
 def test_po_pushes_out_first_maximal():
     state = state_of([3, 5, 2], 3)
     decision = make_policy("po").on_arrival(state, pkt(4))
-    assert decision.is_pushout and decision.victim_id == 2  # the 5
+    assert decision == push_out(2)  # the 5
 
 
 def test_po_drop_on_equal_work():
@@ -43,7 +43,7 @@ def test_po_drop_on_equal_work():
 
 def test_po_tie_breaks_towards_head():
     decision = make_policy("po").on_arrival(state_of([4, 4, 1], 3), pkt(3))
-    assert decision.is_pushout and decision.victim_id == 1
+    assert decision == push_out(1)
 
 
 def test_po_accepts_when_not_full():
@@ -70,9 +70,9 @@ def test_lpo_drain_mode_pushout_of_unmarked():
     lpo = make_policy("lpo")
     state = state_of([1, 1], 3)
     lpo.select_processing(state, 1)  # marks both, drains packet 1
-    state.queue.append(Packet(3, 2, 4, 4))
+    state.queue.append(Packet(3, 4, 4))
     decision = lpo.on_arrival(state, pkt(2))
-    assert decision.is_pushout and decision.victim_id == 3
+    assert decision == push_out(3)
 
 
 def test_lpo_fill_skips_single_cycle_packets():
@@ -84,7 +84,7 @@ def test_lpo_marks_and_drains_when_all_single_cycle():
     state = state_of([1, 1], 5)
     assert lpo.select_processing(state, 1) == [1]
     del state.queue[0]  # packet 1 leaves at zero residual
-    state.queue.append(Packet(3, 2, 1, 1))  # an unmarked newcomer at one cycle
+    state.queue.append(Packet(3, 1, 1))  # an unmarked newcomer at one cycle
     assert lpo.select_processing(state, 5) == [2]  # still draining the marked packet
 
 
@@ -93,7 +93,7 @@ def test_lpo_drain_ignores_unmarked_even_with_idle_cores():
     state = state_of([1, 1], 5)
     lpo.select_processing(state, 1)  # marks both, drains packet 1
     del state.queue[0]
-    state.queue.append(Packet(3, 2, 5, 5))
+    state.queue.append(Packet(3, 5, 5))
     assert lpo.select_processing(state, 2) == [2]
 
 
@@ -101,7 +101,7 @@ def test_lpo_drain_reverts_to_fill_when_marked_exhausted():
     lpo = make_policy("lpo")
     state = state_of([1], 5)
     assert lpo.select_processing(state, 1) == [1]  # marks and drains packet 1
-    state.queue[:] = [Packet(2, 2, 4, 4), Packet(3, 2, 2, 2)]
+    state.queue[:] = [Packet(2, 4, 4), Packet(3, 2, 2)]
     assert lpo.select_processing(state, 1) == [2]
 
 
@@ -113,7 +113,7 @@ def test_lpo_p_skips_in_process_victim():
     assert lpo_p.select_processing(state, 1) == [1]
     state.queue[0].residual_work -= 1
     decision = lpo_p.on_arrival(state, pkt(4))
-    assert decision.is_pushout and decision.victim_id == 2  # first 5, not the 6
+    assert decision == push_out(2)  # first 5, not the 6
 
 
 def test_lpo_p_drops_when_only_victim_is_in_process():

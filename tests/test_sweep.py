@@ -159,8 +159,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(param="k", values=(1,), runs=0).validate()
     # every point needs k, B and C >= 1, each swept value and each policy id
-    # may appear once, the master seed must be >= 0, and the ON-OFF settings
-    # are checked before any cell runs
+    # may appear once, the policy list must not be empty, the master seed must
+    # be >= 0, and the ON-OFF settings are checked before any cell runs
     for bad in (
         SweepConfig(param="k", values=(1,), B=0),
         SweepConfig(param="k", values=(1,), C=0),
@@ -169,6 +169,7 @@ def test_config_validation():
         SweepConfig(param="B", values=(0, 5)),
         SweepConfig(param="B", values=(12, 3, 7, 3)),
         SweepConfig(param="k", values=(1,), policies=("npo", "npo")),
+        SweepConfig(param="k", values=(1,), policies=()),
         SweepConfig(param="k", values=(1,), master_seed=-1),
         SweepConfig(param="C", values=(1, 2), on_count_min=5, on_count_max=2, workers=2),
         SweepConfig(param="k", values=(1,), lambda_off=float("nan")),
