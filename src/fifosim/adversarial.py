@@ -28,10 +28,8 @@ class AdversarialTrace:
     """A generated worst-case trace plus its claimed per-period accounting."""
 
     construction: str
-    params: dict
     trace: Trace
     period_length: int
-    periods: int
     claimed: dict[str, float]       # per period (per iteration for NPO_TIGHT)
     claimed_total: dict[str, int]   # over the whole generated trace
     target: str                     # policy id the construction is aimed at
@@ -272,7 +270,6 @@ def gen_adversarial(
         meta["reference_reject_works"] = sorted(sched.rejects)
     return AdversarialTrace(
         construction=name,
-        params={"B": B, "k": k, "C": C, "periods": periods, "level": level},
         trace=Trace(
             slots=slots,
             works=works,
@@ -280,7 +277,6 @@ def gen_adversarial(
             metadata={"generator": "adversarial", "seed": 0, "params": meta},
         ),
         period_length=sched.length,
-        periods=periods,
         claimed=sched.claimed,
         claimed_total=claimed_total,
         target=target,

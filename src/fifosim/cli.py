@@ -92,7 +92,7 @@ def _cmd_simulate(args) -> int:
         record_events=args.events,
     )
     print(
-        f"policy={result.policy} B={result.buffer_size} C={result.cores} "
+        f"policy={result.policy} B={args.buffer} C={args.cores} "
         f"final_slot={result.final_slot} transmitted={result.transmitted_count} "
         f"dropped={result.dropped_count} pushed_out={result.pushout_count} "
         f"admitted={result.admitted_count}"
@@ -194,8 +194,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    result = bound_value(args.id, k=args.k, B=args.buffer)
-    print(f"{result.value:g}")
+    print(f"{bound_value(args.id, k=args.k, B=args.buffer):g}")
     return 0
 
 

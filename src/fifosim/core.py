@@ -11,10 +11,10 @@ class SimulationError(RuntimeError):
 
 @dataclass(slots=True)
 class Packet:
-    """A unit-size packet: total required work and the work still owed."""
+    """A unit-size packet and the processing cycles it still owes; an arriving
+    packet owes its whole required work."""
 
     id: int
-    required_work: int
     residual_work: int
 
 
@@ -43,11 +43,10 @@ class SlotEvents:
 
 @dataclass
 class SimulationResult:
-    """Counters for one run; the event log is opt-in."""
+    """Counters for one run; the buffer size and core count are the caller's
+    own arguments to ``run``.  The event log is opt-in."""
 
     policy: str
-    buffer_size: int
-    cores: int
     final_slot: int
     transmitted_count: int
     dropped_count: int

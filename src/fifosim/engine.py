@@ -57,7 +57,7 @@ def run(
     # a @dataclass Policy is unhashable, so only a str is looked up
     if isinstance(policy, str) and policy in _FAST_LOOPS and not record_events:
         counts = _FAST_LOOPS[policy](trace.slots, trace.works, buffer_size, cores)
-        return SimulationResult(policy, buffer_size, cores, *counts)
+        return SimulationResult(policy, *counts)
     return _run_general(trace, policy, buffer_size, cores, record_events)
 
 
@@ -83,8 +83,9 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 
         # phase (i): arrivals, one offer at a time
         while i < n and slots[i] == t:
-            pkt = Packet(i + 1, works[i], works[i])
+            w = works[i]
             i += 1
+            pkt = Packet(i, w)
             decision = pol.on_arrival(state, pkt)
             if decision is ACCEPT:
                 if state.is_full():
@@ -105,11 +106,10 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
                     raise SimulationError(
                         f"{pol.name}: push-out of unknown packet {decision.victim_id} at slot {t}"
                     )
-                if victim.residual_work <= pkt.required_work:
+                if victim.residual_work <= w:
                     # push-out must strictly reduce total residual work
                     raise SimulationError(
-                        f"{pol.name}: push-out of residual {victim.residual_work} "
-                        f"for work {pkt.required_work} at slot {t}"
+                        f"{pol.name}: push-out of residual {victim.residual_work} for work {w} at slot {t}"
                     )
                 queue.remove(victim)
                 queue.append(pkt)
@@ -124,20 +124,19 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
         if not isinstance(selected, (list, tuple)):
             raise SimulationError(f"{pol.name}: select_processing answered {selected!r} at slot {t}")
         if len(selected) > cores:
-            raise SimulationError(f"{pol.name}: selected {len(selected)} > C={cores}")
-        if selected:
-            by_id = {p.id: p for p in queue}
-            seen = set()
-            for pid in selected:
-                if pid in seen:
-                    raise SimulationError(f"{pol.name}: packet {pid} selected twice")
-                seen.add(pid)
-                pkt = by_id.get(pid)
-                if pkt is None:
-                    raise SimulationError(f"{pol.name}: selected unknown packet {pid} at slot {t}")
-                if pkt.residual_work <= 0:
-                    raise SimulationError(f"{pol.name}: packet {pid} selected at zero residual")
-                pkt.residual_work -= 1
+            raise SimulationError(f"{pol.name}: selected {len(selected)} > C={cores} at slot {t}")
+        found: list[Packet] = []
+        for pid in selected:
+            # a scan, not a dict: a policy's id need not be hashable
+            pkt = next((p for p in queue if p.id == pid), None)
+            if pkt is None:
+                raise SimulationError(f"{pol.name}: selected unknown packet {pid} at slot {t}")
+            if pkt in found:
+                raise SimulationError(f"{pol.name}: packet {pid} selected twice at slot {t}")
+            if pkt.residual_work <= 0:
+                raise SimulationError(f"{pol.name}: packet {pid} selected at zero residual at slot {t}")
+            pkt.residual_work -= 1
+            found.append(pkt)
         if slot_ev:
             slot_ev.processed.extend(selected)
 
@@ -154,7 +153,7 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
             if len(kept) != len(queue):
                 queue[:] = kept
         elif queue and i >= n:
-            raise SimulationError(f"{pol.name}: no progress with {len(queue)} packets queued")
+            raise SimulationError(f"{pol.name}: no progress with {len(queue)} packets queued at slot {t}")
 
         if log is not None:
             log.append(slot_ev)
@@ -166,8 +165,6 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
         )
     return SimulationResult(
         policy=pol.name,
-        buffer_size=buffer_size,
-        cores=cores,
         final_slot=t,
         transmitted_count=transmitted,
         dropped_count=dropped,

@@ -36,9 +36,18 @@ def push_out(victim_id: int) -> AdmissionDecision:
 
 
 class Policy:
-    """Engine-facing policy; one instance per run (may hold cross-phase state)."""
+    """Engine-facing policy; one instance per run (may hold cross-phase state).
 
-    name = "?"
+    ``name`` labels the result and the engine's refusals; a subclass that
+    sets none, and inherits none, is named after its class.
+    """
+
+    name: str
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not hasattr(cls, "name"):
+            cls.name = cls.__name__
 
     def on_arrival(self, state: BufferState, packet: Packet):
         raise NotImplementedError
@@ -76,7 +85,7 @@ class PoPolicy(NpoPolicy):
         for p in state.queue:
             if p.id not in self.spared and (victim is None or p.residual_work > victim.residual_work):
                 victim = p
-        if victim is not None and packet.required_work < victim.residual_work:
+        if victim is not None and packet.residual_work < victim.residual_work:
             return push_out(victim.id)
         return DROP
 

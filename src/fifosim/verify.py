@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,15 +21,11 @@ from .trace import Trace
 @dataclass
 class VerificationReport:
     check: str
-    params: dict
     claimed: dict
     measured: dict
     tolerance: str
     passed: bool
     details: list[str] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"pass" if key == "passed" else key: value for key, value in asdict(self).items()})
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -51,7 +47,7 @@ class _Rule(NamedTuple):
 
 
 def _share_of(bound_id: str, share: float) -> Callable[..., float]:
-    return lambda k, B, **_: share * bound_value(bound_id, k=k, B=B).value
+    return lambda k, B, **_: share * bound_value(bound_id, k=k, B=B)
 
 
 # name -> the claim verify_construction checks, keyed like adversarial's table
@@ -97,7 +93,7 @@ def verify_construction(
         adv.target: totals[adv.target],
         comp: totals[comp],
         "ratio": round(ratio, 6),
-        "per_period_target": round(totals[adv.target] / adv.periods, 3),
+        "per_period_target": round(totals[adv.target] / periods, 3),
         **totals,  # target and comparator keep their places; the other policies follow
     }
     details: list[str] = []
@@ -107,7 +103,7 @@ def verify_construction(
     passed = (
         ratio >= floor
         and all(abs(ratios[pol] - claimed_ratios[pol]) <= rule.rel * claimed_ratios[pol] for pol in ratios)
-        and all(abs(totals[pol] / adv.periods - adv.claimed[pol]) <= rule.slack for pol in adv.claimed)
+        and all(abs(totals[pol] / periods - adv.claimed[pol]) <= rule.slack for pol in adv.claimed)
     )
 
     if comp == "reference":
@@ -122,7 +118,6 @@ def verify_construction(
     return VerificationReport(
         check=f"{adv.construction} B={B} k={k} C={C} periods={periods}"
         + (f" level={level}" if level is not None else ""),
-        params=adv.params,
         claimed={**adv.claimed_total, "ratio": round(claimed_ratio, 6)},
         measured=measured,
         tolerance=rule.tolerance.format(floor),
@@ -158,14 +153,13 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
     reference policy's relation to the oracle and the log-form upper bound
     are tallied and reported, not asserted.
     """
-    grid = {"B": [2, 3], "k": [2, 3, 4]}
     failures: list[str] = []
     srpt_below = 0
     ln_bound_misses = 0
     for index in range(count):
         rng = np.random.default_rng(seed + index)  # per-instance seed: seed + index
-        B = int(rng.choice(grid["B"]))
-        k = int(rng.choice(grid["k"]))
+        B = int(rng.choice([2, 3]))
+        k = int(rng.choice([2, 3, 4]))
         trace = random_micro_trace(rng, k=k)
         opt = offline_opt_bruteforce(trace, B, 1)
         throughput = {
@@ -182,7 +176,7 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
             problems.append(f"mask replay {replayed} != oracle {opt.throughput}")
         if throughput["srpt"] < opt.throughput:
             srpt_below += 1
-        ln_bound = bound_value("LPO_UPPER_LN", k=k).value + 0.5
+        ln_bound = bound_value("LPO_UPPER_LN", k=k) + 0.5
         if throughput["lpo"] and opt.throughput > ln_bound * throughput["lpo"]:
             ln_bound_misses += 1
         if problems:
@@ -191,7 +185,6 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
             )
     return VerificationReport(
         check=f"micro oracle suite ({count} instances)",
-        params={"count": count, "seed": seed, **grid, "C": 1},
         claimed={"violations": 0},
         measured={
             "violations": len(failures),
@@ -228,7 +221,6 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
     dominance_violations = [k for k in kc.values if k >= 2 and (po[k] < npo[k] or po[k] < lpo[k])]
     k_report = VerificationReport(
         check=f"k-sweep reproduction (B={kc.B}, C={kc.C})",
-        params={"slots": kc.slots, "runs": kc.runs},
         claimed={"k1_ratio_floor": 0.99, "po_dominates": True},
         measured={"k1_min_ratio": round(at_k1, 4), "violations": dominance_violations},
         tolerance="ratios at k=1 >= 0.99; po >= npo and po >= lpo for k >= 2",
@@ -238,7 +230,6 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
     max_std = max(a.std_ratio for a in k_table.aggregates + c_table.aggregates)
     std_report = VerificationReport(
         check="ratio standard deviation (default sweep configs)",
-        params={"slots": kc.slots, "runs": kc.runs},
         claimed={"max_std": 0.05},
         measured={"max_std": round(max_std, 4)},
         tolerance="population std of every ratio <= 0.05",
@@ -251,7 +242,6 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
     )
     cross_report = VerificationReport(
         check=f"C-sweep crossover (k={cc.k}, B={cc.B})",
-        params={"slots": cc.slots, "runs": cc.runs},
         claimed={"crossover_at_most": max(cc.values)},
         measured={"crossover": crossover},
         tolerance=f"npo >= lpo for every C beyond some C* <= {max(cc.values)}",
@@ -266,7 +256,6 @@ def sweep_reproduction_reports(k_table: ResultTable, c_table: ResultTable) -> li
         identical = open(a_path, "rb").read() == open(b_path, "rb").read()
     det_report = VerificationReport(
         check="sweep determinism (byte-identical CSV)",
-        params={"values": list(config.values), "slots": config.slots, "runs": config.runs},
         claimed={"identical": True},
         measured={"identical": identical},
         tolerance="two runs of the same config produce identical bytes",
@@ -306,13 +295,11 @@ CONSTRUCTION_CASES = (
 def golden_suite() -> list[VerificationReport]:
     """The GOLDEN_CASES checks, then the LOG_RECURSIVE growth check over their levels."""
     reports = [verify_construction(name, **kw) for name, kw in GOLDEN_CASES]
-    log_cases = [kw for name, kw in GOLDEN_CASES if name == "LOG_RECURSIVE"]
-    levels = [kw["level"] for kw in log_cases]
+    levels = [kw["level"] for name, kw in GOLDEN_CASES if name == "LOG_RECURSIVE"]
     ratios = [rep.measured["ratio"] for rep in reports if rep.check.startswith("LOG_RECURSIVE")]
     increasing = all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
     combined = VerificationReport(
         check=f"LOG_RECURSIVE ratio growth (levels {levels[0]}..{levels[-1]})",
-        params={"B": log_cases[0]["B"], "levels": levels},
         claimed={"strictly_increasing": True, "level0_floor": 2.5},
         measured={"ratios": ratios},
         tolerance="ratio(0) >= 2.5; ratio(n) strictly increasing and >= n + 0.5",

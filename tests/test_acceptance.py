@@ -92,13 +92,14 @@ def test_c6_log_recursive(golden_reports):
 
 def test_c7_oracle_micro_suite():
     t0 = time.perf_counter()
-    rep = verify_micro(count=200, seed=0)
+    count = 200
+    rep = verify_micro(count=count, seed=0)
     elapsed = time.perf_counter() - t0
     ok = rep.passed and elapsed < 60.0
     _line(
         "7 (oracle micro)",
         ok,
-        f"{rep.params['count']} instances, violations {rep.measured['violations']}, "
+        f"{count} instances, violations {rep.measured['violations']}, "
         f"srpt<oracle on {rep.measured['srpt_below_oracle']}, {elapsed:.1f}s",
     )
 

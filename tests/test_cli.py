@@ -41,8 +41,9 @@ def test_gen_and_simulate_round_trip(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert main(["simulate", "--trace", str(out), "--policy", "po", "--buffer", "10"]) == 0
-    line = capsys.readouterr().out
-    assert "transmitted=20" in line
+    assert capsys.readouterr().out == (
+        "policy=po B=10 C=1 final_slot=36 transmitted=20 dropped=16 pushed_out=2 admitted=22\n"
+    )
 
 
 def test_simulate_malformed_trace_is_usage_error(tmp_path, capsys):

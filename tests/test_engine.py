@@ -319,11 +319,28 @@ class Answers(Policy):
         (AdmissionDecision("acept"), []),  # neither ACCEPT, DROP nor a push-out of a packet
         (Enum("Admission", "ACCEPT DROP").ACCEPT, []),  # equal in name only to ACCEPT
         (ACCEPT, None),
+        (ACCEPT, [[1]]),  # an unhashable id
+        (ACCEPT, [1, 1]),
+        (ACCEPT, [1, 1, 1]),  # more ids than the two cores
+        (ACCEPT, []),  # no progress with the packet queued
     ],
-    ids=["arrival-none", "arrival-string", "arrival-misspelt", "arrival-look-alike", "selection-none"],
+    ids=[
+        "arrival-none", "arrival-string", "arrival-misspelt", "arrival-look-alike", "selection-none",
+        "selection-unhashable", "selection-repeat", "selection-over-c", "selection-empty",
+    ],
 )
 def test_malformed_policy_answers_raise_simulation_error(admission, selection):
     # each names the policy and the slot, instead of a bare AttributeError or
     # TypeError, or a silent drop of every packet
     with pytest.raises(SimulationError, match=r"^misbehaving: .* at slot 3$"):
-        run(make_trace([(3, [2])]), Answers(admission, selection), 2, 1)
+        run(make_trace([(3, [2])]), Answers(admission, selection), 2, 2)
+
+
+def test_nameless_policy_is_named_after_its_class():
+    class Nameless(Policy):
+        def on_arrival(self, state, packet):
+            return None
+
+    assert run(make_trace([]), Nameless(), 1, 1).policy == "Nameless"
+    with pytest.raises(SimulationError, match=r"^Nameless: on_arrival answered None at slot 1$"):
+        run(make_trace([(1, [1])]), Nameless(), 1, 1)

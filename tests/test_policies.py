@@ -6,12 +6,12 @@ from fifosim import ACCEPT, DROP, BufferState, Packet, UnknownPolicyError, make_
 
 
 def state_of(residuals, capacity):
-    queue = [Packet(i + 1, max(r, 1), r) for i, r in enumerate(residuals)]
+    queue = [Packet(i + 1, r) for i, r in enumerate(residuals)]
     return BufferState(capacity=capacity, queue=queue)
 
 
 def pkt(work, pid=99):
-    return Packet(pid, work, work)
+    return Packet(pid, work)
 
 
 # --- non-push-out admission ---
@@ -70,7 +70,7 @@ def test_lpo_drain_mode_pushout_of_unmarked():
     lpo = make_policy("lpo")
     state = state_of([1, 1], 3)
     lpo.select_processing(state, 1)  # marks both, drains packet 1
-    state.queue.append(Packet(3, 4, 4))
+    state.queue.append(Packet(3, 4))
     decision = lpo.on_arrival(state, pkt(2))
     assert decision == push_out(3)
 
@@ -84,7 +84,7 @@ def test_lpo_marks_and_drains_when_all_single_cycle():
     state = state_of([1, 1], 5)
     assert lpo.select_processing(state, 1) == [1]
     del state.queue[0]  # packet 1 leaves at zero residual
-    state.queue.append(Packet(3, 1, 1))  # an unmarked newcomer at one cycle
+    state.queue.append(Packet(3, 1))  # an unmarked newcomer at one cycle
     assert lpo.select_processing(state, 5) == [2]  # still draining the marked packet
 
 
@@ -93,7 +93,7 @@ def test_lpo_drain_ignores_unmarked_even_with_idle_cores():
     state = state_of([1, 1], 5)
     lpo.select_processing(state, 1)  # marks both, drains packet 1
     del state.queue[0]
-    state.queue.append(Packet(3, 5, 5))
+    state.queue.append(Packet(3, 5))
     assert lpo.select_processing(state, 2) == [2]
 
 
@@ -101,7 +101,7 @@ def test_lpo_drain_reverts_to_fill_when_marked_exhausted():
     lpo = make_policy("lpo")
     state = state_of([1], 5)
     assert lpo.select_processing(state, 1) == [1]  # marks and drains packet 1
-    state.queue[:] = [Packet(2, 4, 4), Packet(3, 2, 2)]
+    state.queue[:] = [Packet(2, 4), Packet(3, 2)]
     assert lpo.select_processing(state, 1) == [2]
 
 
