@@ -3,11 +3,7 @@ need multiple processing cycles: online admission/scheduling policies, worst
 case and stochastic traffic, a brute-force offline optimum for micro
 instances, and the claimed-ratio checks tying them together."""
 
-from .adversarial import (
-    ConstructionError,
-    gen_adversarial,
-    reference_accept_mask,
-)
+from .adversarial import ConstructionError, gen_adversarial
 from .bounds import BOUND_IDS, bound_value
 from .core import (
     BufferState,

@@ -8,7 +8,9 @@ NPO_TIGHT, whose ``periods`` argument counts iterations inside a single
 sequence; see its builder).
 
 Derived counts and offsets are floored; any inexact division is recorded in
-the trace metadata under ``rounding``.
+the trace metadata under ``rounding``.  ``AdversarialTrace.reference_mask``
+is the accept mask of the analytic reference schedule, which rejects exactly
+the construction's heavy works; replaying it gives the claimed reference total.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ class ConstructionError(ValueError):
 
 @dataclass
 class AdversarialTrace:
-    """A generated worst-case trace plus its claimed per-period accounting."""
+    """A generated worst-case trace, its claimed accounting and its reference accept mask."""
 
     construction: str
     trace: Trace
-    period_length: int
     claimed: dict[str, float]       # per period (per iteration for NPO_TIGHT)
     claimed_total: dict[str, int]   # over the whole generated trace
     target: str                     # policy id the construction is aimed at
     comparator: str                 # policy id or "reference" (analytic schedule)
+    reference_mask: tuple[bool, ...] | None  # one flag per packet; None for a policy comparator
 
 
 class _Schedule(NamedTuple):
@@ -44,8 +46,7 @@ class _Schedule(NamedTuple):
     claimed: dict[str, float]       # per-period throughput of each policy
     notes: list[str] = []           # inexact divisions, recorded as "rounding"
     rejects: set[int] | None = None  # works the reference schedule rejects
-    copies: int | None = None       # None: one copy per period
-    claimed_total: dict[str, int] | None = None  # None: claimed times periods
+    claimed_total: dict[str, int] | None = None  # None: one copy per period, claimed times periods
 
 
 def _require(cond: bool, message: str) -> None:
@@ -107,7 +108,7 @@ def _npo_tight(B: int, k: int | None, C: int, periods: int, **_) -> _Schedule:
     period[periods * k + 2] = [1] * B
     claimed = {"npo": float(C), "reference": float(k * C)}
     claimed_total = {"npo": periods * C + B, "reference": periods * k * C + B}
-    return _Schedule(period, periods * k + 2, claimed, rejects={k}, copies=1, claimed_total=claimed_total)
+    return _Schedule(period, periods * k + 2, claimed, rejects={k}, claimed_total=claimed_total)
 
 
 def _kgeb(B: int, k: int | None, **_) -> _Schedule:
@@ -235,8 +236,9 @@ def gen_adversarial(
 
     ``k`` may be omitted where the schedule fixes its own works; when given
     it must satisfy the construction's precondition.  ``level`` selects the
-    recursion depth of LOG_RECURSIVE (default 0).  All constructions except
-    NPO_TIGHT were derived for a single core and refuse C != 1.
+    recursion depth of LOG_RECURSIVE (default 0) and is refused elsewhere.
+    All constructions except NPO_TIGHT were derived for a single core and
+    refuse C != 1.
     """
     name = construction.upper()
     if name not in _TABLE:
@@ -245,14 +247,16 @@ def gen_adversarial(
         )
     _require(periods >= 1, "periods must be >= 1")
     _require(C == 1 or name == "NPO_TIGHT", f"{name} is defined for C = 1 only")
+    _require(level is None or name == "LOG_RECURSIVE", f"{name} takes no level")
     build, target, comparator = _TABLE[name]
     sched = build(B=B, k=k, C=C, periods=periods, level=level)
-    copies = sched.copies or periods
+    # a builder that claims its own total has generated the whole sequence
+    tiles = 1 if sched.claimed_total else periods
     claimed_total = sched.claimed_total or {pol: int(v) * periods for pol, v in sched.claimed.items()}
 
     order = sorted(sched.period)
-    slots = [c * sched.length + s for c in range(copies) for s in order for _ in sched.period[s]]
-    works = [w for _ in range(copies) for s in order for w in sched.period[s]]
+    slots = [c * sched.length + s for c in range(tiles) for s in order for _ in sched.period[s]]
+    works = [w for _ in range(tiles) for s in order for w in sched.period[s]]
     meta = {
         "construction": name,
         "B": B,
@@ -276,23 +280,9 @@ def gen_adversarial(
             k_declared=max(works),
             metadata={"generator": "adversarial", "seed": 0, "params": meta},
         ),
-        period_length=sched.length,
         claimed=sched.claimed,
         claimed_total=claimed_total,
         target=target,
         comparator=comparator,
+        reference_mask=None if sched.rejects is None else tuple(w not in sched.rejects for w in works),
     )
-
-
-def reference_accept_mask(adv: AdversarialTrace) -> tuple[bool, ...] | None:
-    """Accept mask of the claimed reference schedule, when one exists.
-
-    The reference rejects exactly the construction's heavy works and accepts
-    everything else; replaying this mask through the engine must reproduce
-    ``claimed_total["reference"]``.
-    """
-    rejects = adv.trace.metadata.get("params", {}).get("reference_reject_works")
-    if rejects is None:
-        return None
-    reject_set = set(rejects)
-    return tuple(work not in reject_set for work in adv.trace.works)

@@ -85,7 +85,6 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
             "generator": "mmpp",
             "seed": int(seed),
             "params": asdict(params),
-            "slots": int(slots),
             "on_slots": n_on,
             "on_arrivals": int(counts[on].sum()),
         },

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .adversarial import gen_adversarial, reference_accept_mask
+from .adversarial import gen_adversarial
 from .bounds import bound_value
 from .engine import run
 from .oracle import offline_opt_bruteforce, replay_accept_mask
@@ -107,7 +107,7 @@ def verify_construction(
     )
 
     if comp == "reference":
-        replayed = replay_accept_mask(adv.trace, reference_accept_mask(adv), B, C).transmitted_count
+        replayed = replay_accept_mask(adv.trace, adv.reference_mask, B, C).transmitted_count
         measured["reference_replayed"] = replayed
         if replayed != adv.claimed_total["reference"]:
             passed = False

@@ -5,7 +5,6 @@ import pytest
 from fifosim import (
     ConstructionError,
     gen_adversarial,
-    reference_accept_mask,
     replay_accept_mask,
     run,
     validate_trace,
@@ -53,9 +52,9 @@ def test_target_policy_meets_claimed_total(name, kwargs):
 def test_comparator_meets_claimed_total(name, kwargs):
     adv = gen_adversarial(name, **kwargs)
     B, C = kwargs["B"], kwargs.get("C", 1)
+    assert (adv.reference_mask is None) == (adv.comparator != "reference")
     if adv.comparator == "reference":
-        mask = reference_accept_mask(adv)
-        got = replay_accept_mask(adv.trace, mask, B, C).transmitted_count
+        got = replay_accept_mask(adv.trace, adv.reference_mask, B, C).transmitted_count
     else:
         got = run(adv.trace, adv.comparator, B, C).transmitted_count
     assert got == adv.claimed_total[adv.comparator]
@@ -67,14 +66,14 @@ def test_po_vs_lpo_schedule_shape():
     # finished half of it (slot B+1)
     assert adv.trace.slots == [1, 1, 3, 3]
     assert adv.trace.works == [2, 2, 1, 1]
-    assert adv.period_length == 4
+    assert adv.trace.metadata["params"]["period_length"] == 4
     assert adv.claimed == {"po": 3, "lpo": 2}
 
 
 def test_lpo_vs_po_acceptance_point():
     adv = gen_adversarial("LPO_VS_PO", B=10, k=6, periods=1)
     assert adv.claimed == {"lpo": 25, "po": 20}
-    assert adv.period_length == 35
+    assert adv.trace.metadata["params"]["period_length"] == 35
     assert sorted(set(adv.trace.slots)) == [1, 10, 20, 26]
 
 
@@ -83,7 +82,7 @@ def test_kgeb_acceptance_point():
     assert adv.claimed["po"] == 10
     assert adv.claimed["reference"] == 18
     assert [w for s, w in zip(adv.trace.slots, adv.trace.works) if s == 1] == [10, 1]
-    assert adv.period_length == 18
+    assert adv.trace.metadata["params"]["period_length"] == 18
 
 
 def test_npo_tight_acceptance_numbers():
@@ -110,8 +109,8 @@ def test_periods_tile_cleanly():
     for pol in ("po", "lpo"):
         assert three.claimed_total[pol] == 3 * one.claimed_total[pol]
     # second period is the first shifted by one period length
-    n = one.trace.packet_count
-    assert three.trace.slots[n : 2 * n] == [s + one.period_length for s in one.trace.slots]
+    n, length = one.trace.packet_count, one.trace.metadata["params"]["period_length"]
+    assert three.trace.slots[n : 2 * n] == [s + length for s in one.trace.slots]
     assert three.trace.works[n : 2 * n] == one.trace.works
 
 
@@ -132,6 +131,7 @@ def test_periods_tile_cleanly():
         ("LOG_RECURSIVE", dict(B=10, level=-1)),
         ("KGEB", dict(B=10, k=10, C=2)),         # single-core construction
         ("PO_VS_LPO", dict(B=10, periods=0)),
+        ("KGEB", dict(B=10, k=10, level=1)),     # level is LOG_RECURSIVE's alone
     ],
 )
 def test_preconditions_rejected(name, kwargs):
@@ -150,6 +150,7 @@ def test_metadata_carries_claims():
     assert params["construction"] == "PO_KLTB"
     assert params["claimed_total"] == adv.claimed_total
     assert params["reference_reject_works"] == [3]
+    assert adv.reference_mask == tuple(w not in params["reference_reject_works"] for w in adv.trace.works)
 
 
 def test_rounding_note_recorded_for_odd_b():

@@ -85,6 +85,9 @@ def test_gen_rejects_bad_construction_params(capsys):
     code = main(["gen", "--construction", "KGEB", "--buffer", "10", "--k", "3", "--out", "/tmp/x"])
     assert code == 2
     assert "k >= B" in capsys.readouterr().err
+    level = ["gen", "--construction", "KGEB", "--buffer", "10", "--k", "10", "--level", "1", "--out", "/tmp/x"]
+    assert main(level) == 2
+    assert "KGEB takes no level" in capsys.readouterr().err
     # a generator's required size: --slots for mmpp, --buffer for a construction
     assert main(["gen", "--mmpp", "--k", "3", "--out", "/tmp/x"]) == 2
     assert "needs --slots" in capsys.readouterr().err

@@ -29,7 +29,6 @@ from fifosim import (
     gen_adversarial,
     gen_mmpp,
     make_policy,
-    reference_accept_mask,
     replay_accept_mask,
     run,
     write_trace,
@@ -101,7 +100,7 @@ def construction_rows(name: str, kwargs: dict) -> list[dict]:
     rows = []
     for role, pol in (("target", adv.target), ("comparator", adv.comparator)):
         if pol == "reference":
-            res = replay_accept_mask(adv.trace, reference_accept_mask(adv), B, C)
+            res = replay_accept_mask(adv.trace, adv.reference_mask, B, C)
         else:
             res = run(adv.trace, pol, B, C)
         rows.append({"construction": name, **kwargs, "role": role, "policy": pol, **_counters(res)})
