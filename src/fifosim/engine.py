@@ -11,15 +11,23 @@ counts everything the policy would deliver.
 unless an event log was requested: an eager loop for npo, po and srpt, and a
 lazy loop for lpo and lpo_p.  srpt's counts depend only on the multiset of
 residuals, so its fast loop is po on a queue kept in ascending order, where
-the FIFO head is the C smallest residuals.  lpo_p's victim is the first maximum
-at or after a bound ``s``: everything before ``s`` was processed in the last
-fill phase or has one cycle left, which no arrival's work undercuts.  Both
+the FIFO head is the C smallest residuals.
+
+At C = 1 the eager loop steps from arrival to arrival, not slot to slot: the
+head is in service and leaves at the end of slot ``dep``, so the packets
+behind it leave at ``dep`` plus their works, and the head's residual in slot
+``s``, ``dep - s + 1``, is computed only for a push-out or an srpt preemption.
+The lazy loop keeps only the residuals above one in its queue and counts the
+one-cycle packets, ``ones`` unmarked and ``m`` marked: fill never selects
+one, no push-out evicts one (a victim's residual exceeds the arrival's work,
+which is at least 1), and drain treats them all alike.  lpo_p spares
+``q[:p]``, the ``p`` packets of the last fill still above one cycle.  Both
 loops keep a bound ``top >= max(q)``, raised only by an admission, so an
-arrival at or above it is dropped without a scan; the lazy loop's first ``f``
-packets are at one cycle, so fill and the victim search start at ``f``.  Both
-loops and the general path walk the trace's packet-aligned ``slots``/``works``
-columns directly; the general path numbers packet ``i`` of the trace as id
-``i + 1``.  Both paths produce identical counts.
+arrival at or above it is dropped without a scan.  Every admitted packet
+leaves or is pushed out, so a loop counts transmissions as admitted minus
+pushed out.  Both loops and the general path walk the trace's packet-aligned
+``slots``/``works`` columns directly; the general path numbers packet ``i``
+of the trace as id ``i + 1``.  Both paths produce identical counts.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from functools import partial
 
 from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
 from .policies import ACCEPT, DROP, AdmissionDecision, make_policy
-from .trace import Trace, TraceError, validate_trace
+from .trace import Trace, TraceError, _is_int, validate_trace
 
 
 def run(
@@ -44,12 +52,14 @@ def run(
     """Simulate one policy over one trace and return its accounting.
 
     ``policy`` is a registry id or a :class:`Policy` instance.  Identical
-    inputs produce identical results, event logs included.
+    inputs produce identical results, event logs included.  A buffer size or
+    core count that is not an ``int`` >= 1 (``bool`` excluded) raises
+    ``ValueError``.
     """
-    if buffer_size < 1:
-        raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-    if cores < 1:
-        raise ValueError(f"cores must be >= 1, got {cores}")
+    if not (_is_int(buffer_size) and buffer_size >= 1):
+        raise ValueError(f"buffer_size must be an integer >= 1, got {buffer_size!r}")
+    if not (_is_int(cores) and cores >= 1):
+        raise ValueError(f"cores must be an integer >= 1, got {cores!r}")
     if validate:
         errors = validate_trace(trace)
         if errors:
@@ -176,27 +186,62 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 
 # ---------------------------------------------------------------------------
 # Fast loops: counters only, no Packet objects.  The queue is a plain list of
-# residuals (head at index 0).  Admission order equals list order because
-# arrivals append at the tail, except on srpt's ascending queue, where order
-# does not matter to the counts.  Only an admission raises a residual, so
-# top >= max(q) holds with no invalidation; a full-buffer arrival below top
-# recomputes it exactly.  Per-slot work is an explicit loop over the queue in
-# place, never a comprehension: before Python 3.12 (PEP 709) each one runs
-# in a function frame of its own, which costs more than a short loop.
+# residuals (head at index 0), less the head in service at C = 1 (its end is
+# dep) and, in the lazy loop, less the one-cycle packets (counted in ones and
+# m).  Admission order equals list order because arrivals append at the
+# tail, except on srpt's ascending queue, where order does not matter to the
+# counts.  Only an admission raises a residual, so top >= max(q) holds with
+# no invalidation; a full-buffer arrival below top recomputes it exactly.
+# Per-slot work is an explicit loop over the queue in place, never a
+# comprehension: before Python 3.12 (PEP 709) each one runs in a function
+# frame of its own, which costs more than a short loop.
 
 
 def _fast_eager(slots, works, B, C, pushout, ordered):
-    # npo, po and srpt: every slot processes the first min(C, occupancy)
-    # packets.  srpt is po on a queue kept ascending (ordered): a push-out
-    # evicts the tail, a maximal residual, and the head is the C smallest.
-    # Decrementing the head keeps the queue sorted.
+    # npo, po and srpt.  srpt is po on a queue kept ascending (ordered): a
+    # push-out evicts a maximal residual, and the head is the smallest.
     q: list[int] = []
     place = partial(insort, q) if ordered else q.append
-    single = C == 1
+    admitted = dropped = pushed = top = 0
+    if C == 1:
+        # One step per arrival.  The head is in service and leaves at the end
+        # of slot dep, so its residual in slot s is dep - s + 1; q holds the
+        # works waiting behind it, none below that residual on srpt's queue.
+        dep = 0
+        for s, w in zip(slots, works):
+            while dep < s and q:
+                dep += q.pop(0)  # the next packet starts the slot after dep
+            if dep >= s and len(q) >= B - 1:
+                if not pushout or w >= top:
+                    dropped += 1
+                    continue
+                r = dep - s + 1
+                mx = (q[-1] if ordered else max(q)) if q else 0
+                top = r if r > mx else mx
+                if w >= top:
+                    dropped += 1
+                    continue
+                pushed += 1
+                if r < mx:
+                    if ordered:
+                        q.pop()
+                    else:
+                        q.remove(mx)
+                else:  # the head is the first maximum: the next packet starts in slot s
+                    dep = s - 1 + q.pop(0) if q else s - 1
+            if dep < s:
+                dep = s + w - 1
+            elif ordered and w <= dep - s:  # below the head's residual: w takes the head
+                q.insert(0, dep - s + 1)
+                dep = s + w - 1
+            else:
+                place(w)
+            admitted += 1
+            if w > top:
+                top = w
+        return dep + sum(q), admitted - pushed, dropped, pushed, admitted
     n = len(slots)
-    i = 0
-    admitted = dropped = pushed = transmitted = 0
-    t = top = 0
+    i = t = 0
     while True:
         if q:
             t += 1
@@ -226,46 +271,37 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
             else:
                 dropped += 1
             i += 1
-        if q:
-            if single:
-                r = q[0] - 1
-                if r:
-                    q[0] = r
-                else:
-                    del q[0]
-                    transmitted += 1
+        # the first min(C, occupancy) packets lose a cycle, in place; a finished
+        # packet leaves at once, the next one slides into position j, and h
+        # shrinks so the window still ends where it began.  Decrementing srpt's
+        # head keeps its queue sorted.
+        h = C if C < len(q) else len(q)
+        j = 0
+        while j < h:
+            r = q[j] - 1
+            if r:
+                q[j] = r
+                j += 1
             else:
-                # a finished packet leaves at once: the next one slides into
-                # position j, and h shrinks so the window still ends where it began
-                h = C if C < len(q) else len(q)
-                j = 0
-                while j < h:
-                    r = q[j] - 1
-                    if r:
-                        q[j] = r
-                        j += 1
-                    else:
-                        del q[j]
-                        h -= 1
-                        transmitted += 1
-    return t, transmitted, dropped, pushed, admitted
+                del q[j]
+                h -= 1
+    return t, admitted - pushed, dropped, pushed, admitted
 
 
 def _fast_lazy(slots, works, B, C, spare):
-    # lpo and lpo_p.  Marked packets form a prefix of the queue, tracked by
-    # count alone; m > 0 means drain mode, and drained packets leave in their
-    # slot.  Fill selected nothing before f, so the first f packets are at one
-    # cycle.  s is one past the last position the last fill scanned: all before
-    # it was processed or is at one cycle and stays put until the next fill, as
-    # arrivals join the tail and victims (residual > w >= 1) lie at or after s.
+    # lpo and lpo_p.  q holds the residuals above one, in admission order; the
+    # one-cycle packets are counted, unmarked in ones and marked in m.  m > 0
+    # means drain mode, and drained packets leave in their slot.  lpo_p spares
+    # q[:p], the packets the last fill processed that are still above one:
+    # arrivals join the tail and victims (residual > w >= 1) lie in q[p:].
     q: list[int] = []
-    f = s = m = 0
+    ones = m = p = 0
     n = len(slots)
     i = 0
-    admitted = dropped = pushed = transmitted = 0
+    admitted = dropped = pushed = 0
     t = top = 0
     while True:
-        if q:
+        if q or ones or m:
             t += 1
         elif i < n:
             t = slots[i]
@@ -274,48 +310,48 @@ def _fast_lazy(slots, works, B, C, spare):
         while i < n and slots[i] == t:
             w = works[i]
             i += 1
-            if len(q) < B:
-                q.append(w)
-                admitted += 1
-                if w > top:
-                    top = w
-                continue
-            if w >= top or w >= (top := max(q)):
-                dropped += 1
-                continue
-            v = q.index(top, f)
-            if v < s:
-                mx = max(q[s:], default=0)  # the first maximum is spared
-                if w >= mx:
+            if len(q) + ones + m >= B:
+                if not q or w >= top or w >= (top := max(q)):
                     dropped += 1
                     continue
-                v = q.index(mx, s)
-            del q[v]
-            q.append(w)
+                v = q.index(top)
+                if v < p:
+                    mx = max(q[p:], default=0)  # the first maximum is spared
+                    if w >= mx:
+                        dropped += 1
+                        continue
+                    v = q.index(mx, p)
+                del q[v]
+                pushed += 1
             admitted += 1
-            pushed += 1
-        if q:
-            if m == 0:
-                done = 0
-                for idx in range(f, len(q)):
-                    r = q[idx]
+            if w > 1:
+                q.append(w)
+                if w > top:
+                    top = w
+            else:
+                ones += 1
+        if m == 0:
+            if q:
+                # fill: the first min(C, len(q)) residuals lose a cycle in place,
+                # and one that reaches one cycle leaves q for ones
+                h = C if C < len(q) else len(q)
+                j = 0
+                while j < h:
+                    r = q[j] - 1
                     if r > 1:
-                        q[idx] = r - 1
-                        if not done:
-                            f = idx
-                        done += 1
-                        if done == C:
-                            break
-                if not done:
-                    m = len(q)  # everything at one cycle: mark all, drain
-                    f = 0
-                s = idx + 1 if spare and done else 0
-            if m > 0:
-                j = C if C < m else m
-                del q[:j]
-                m -= j
-                transmitted += j
-    return t, transmitted, dropped, pushed, admitted
+                        q[j] = r
+                        j += 1
+                    else:
+                        del q[j]
+                        h -= 1
+                        ones += 1
+                if spare:
+                    p = h
+                continue
+            m = ones  # everything at one cycle: mark all, drain
+            ones = 0
+        m -= C if C < m else m
+    return t, admitted - pushed, dropped, pushed, admitted
 
 
 _FAST_LOOPS = {

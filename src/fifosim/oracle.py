@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .core import BufferState
 from .engine import run
 from .policies import ACCEPT, DROP, NpoPolicy
-from .trace import Trace, TraceError, validate_trace
+from .trace import Trace, TraceError, _is_int, validate_trace
 
 # cap on the (packet, queue) states stored over a whole search; each costs
 # about 200 bytes on CPython 3.11, so a search stays under about 250 MB
@@ -38,15 +38,16 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
     A dynamic program over (next packet index, residual queue contents); the
     slot is implied by the index.  ``explored`` counts the reachable states
     (1 on the empty trace).  Where accepting a packet ties with rejecting it,
-    the mask rejects it.  An invalid trace raises :class:`TraceError`, and a
+    the mask rejects it.  A B or C that is not an ``int`` >= 1 raises
+    ``ValueError``, an invalid trace raises :class:`TraceError`, and a
     search above ``_MAX_STATES`` states raises :class:`OracleLimitError`
     rather than silently truncating.
     """
     errors = validate_trace(trace)
     if errors:
         raise TraceError("invalid trace: " + "; ".join(errors))
-    if B < 1 or C < 1:
-        raise ValueError("B and C must be >= 1")
+    if not (_is_int(B) and _is_int(C) and B >= 1 and C >= 1):
+        raise ValueError(f"B and C must be integers >= 1, got B={B!r}, C={C!r}")
     slots, works = trace.slots, trace.works
     n = len(slots)
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import run
 from .policies import POLICY_IDS
+from .trace import _is_int
 from .traffic import MmppParams, gen_mmpp
 
 SWEEPABLE = ("k", "B", "C")
@@ -55,8 +56,8 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for value in self.values:
-            if min(self.point(value)) < 1:
-                raise ValueError(f"k, B and C must be >= 1, got (k, B, C) = {self.point(value)}")
+            if not all(_is_int(x) and x >= 1 for x in self.point(value)):
+                raise ValueError(f"k, B and C must be integers >= 1, got (k, B, C) = {self.point(value)}")
         self.params(self.point(self.values[0])[0])  # raises on bad ON-OFF settings
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"swept values repeat in {self.values}")

@@ -49,27 +49,40 @@ class MmppParams:
         return self.stationary_rate() * (self.k + 1) / 2.0
 
 
+def _on_off_chain(u, p_up: float, p_down: float):
+    """The chain's state in each slot, from one uniform draw per slot.
+
+    From OFF the chain turns ON iff ``u < p_up``; from ON it stays ON iff
+    ``u >= p_down``.  Where the two tests agree, the slot resets the state to
+    their answer whatever it was; where only the first holds, it flips the
+    state; where only the second holds, it holds it.  So the state is the
+    last reset's value (OFF before any) XOR the parity of the flips since.
+    """
+    up, stay = u < p_up, u >= p_down
+    flips = np.logical_xor.accumulate(up & ~stay)
+    # last[t] is 1 + the slot of the last reset at or before t, 0 before any
+    last = np.arange(1, len(u) + 1, dtype=np.int32)
+    last[up != stay] = 0
+    np.maximum.accumulate(last, out=last)
+    return np.concatenate(([False], up ^ flips))[last] ^ flips
+
+
 def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
     """Generate ``slots`` slots of ON-OFF modulated traffic, deterministically.
 
     The chain starts OFF and advances once per slot before that slot's count
-    is drawn.  Metadata records the ON-slot tally so tests can check the
-    per-state rates without regenerating the chain.
+    is drawn.  Its states are computed for all slots at once, as array
+    operations on one uniform draw per slot, in a helper whose temporaries
+    are freed before the trace's lists are built.  Metadata records the
+    ON-slot tally so tests can check the per-state rates without
+    regenerating the chain.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    u = rng.random(slots)
-    on = np.empty(slots, dtype=bool)
-    state = False
-    p_up = params.p_off_to_on
-    p_down = params.p_on_to_off
-    for t in range(slots):
-        state = (u[t] < p_up) if not state else (u[t] >= p_down)
-        on[t] = state
-
+    on = _on_off_chain(rng.random(slots), params.p_off_to_on, params.p_on_to_off)
     counts = np.zeros(slots, dtype=np.int64)
     n_on = int(on.sum())
     counts[~on] = rng.poisson(params.lambda_off, slots - n_on)

@@ -96,6 +96,17 @@ def test_bad_dimensions_rejected():
         run(make_trace([(1, [1])]), "npo", 1, 0)
 
 
+@pytest.mark.parametrize("B, C", [(4, 2.5), (2.5, 1), (4, 1.0), (True, 1), (4, True)])
+def test_non_integer_dimensions_rejected(B, C):
+    # C = 2.5 used to run as 3 cores and B = 2.5 as a buffer of 3 on the fast
+    # path, while the general path raised TypeError; C = 1.0 would take the
+    # one-core loop
+    trace = make_trace([(1, [1, 2, 3])])
+    for policy in ("npo", make_policy("npo")):
+        with pytest.raises(ValueError, match="integer"):
+            run(trace, policy, B, C)
+
+
 def test_determinism_identical_event_logs():
     trace = make_trace([(1, [3, 1, 2]), (2, [2, 2]), (5, [1, 4])])
     a = run(trace, "po", 3, 2, record_events=True)
@@ -158,6 +169,19 @@ def test_fast_and_general_paths_agree_at_sweep_scale():
         fast = run(trace, pol, 10, cores, validate=False)
         slow = run(trace, make_policy(pol), 10, cores, validate=False)
         assert counters(fast) == counters(slow), (pol, cores)
+
+
+def test_fast_and_general_paths_agree_on_one_core(rng):
+    # every k-sweep cell runs at C = 1, which has loops of its own; the test
+    # above draws C from 1..10, so only about a tenth of its traces reach them
+    from conftest import random_trace
+
+    for B in [1, 40] + [int(rng.integers(1, 41)) for _ in range(198)]:
+        trace = random_trace(rng, max_packets=120, max_k=40)
+        for pol in ("npo", "po", "lpo", "lpo_p", "srpt"):
+            fast = run(trace, pol, B, 1)
+            slow = run(trace, make_policy(pol), B, 1)
+            assert counters(fast) == counters(slow), (pol, B, trace.slots, trace.works)
 
 
 def test_fast_srpt_agrees_with_general_on_ties(rng):
@@ -263,6 +287,82 @@ def test_lpo_p_differs_from_lpo_only_via_in_process():
     cases = ((lpo, trace, 2, 1), (lpo_p, trace, 2, 1), (spaced_lpo_p, spaced, 4, 2))
     for general, tr, B, C in cases:
         assert counters(run(tr, general.policy, B, C)) == counters(general)
+
+
+def pushouts(result):
+    return [pair for ev in result.events for pair in ev.pushed_out]
+
+
+def test_po_pushes_out_a_partly_processed_head():
+    # B = 3, C = 1: the 4 is ground to 3 in slot 1, so in slot 2 it ties the
+    # waiting 3 and, being first, is the maximum the 2 pushes out.  The 1
+    # behind it starts and leaves in that same slot, which makes room for the
+    # 1 arriving in slot 3; evicting the waiting 3 instead would keep the
+    # buffer full and push out the head then
+    trace = make_trace([(1, [4, 1, 3]), (2, [2]), (3, [1])])
+    slow = run(trace, "po", 3, 1, record_events=True)
+    assert pushouts(slow) == [(1, 4)]
+    assert {ev.slot: ev.processed for ev in slow.events}[2] == [2]
+    assert counters(run(trace, "po", 3, 1)) == counters(slow) == (4, 0, 1, 5, 8)
+
+
+def test_srpt_preempts_a_head_in_the_slot_it_started():
+    # B = 2: the 1 leaves in slot 1 and the 3 starts in slot 2, where the
+    # arriving 2 is below its residual and takes the head.  In slot 3 the 2 is
+    # at one cycle, so the arriving 2 pushes out the 3; had the 3 kept the
+    # head, the arrival would tie its residual 2 and be dropped
+    trace = make_trace([(1, [1, 3]), (2, [2]), (3, [2])])
+    slow = run(trace, "srpt", 2, 1, record_events=True)
+    assert [ev.processed for ev in slow.events] == [[1], [3], [3], [4], [4]]
+    assert counters(run(trace, "srpt", 2, 1)) == counters(slow) == (3, 0, 1, 4, 5)
+    # the same in the arrival's own slot: the 1 preempts the 3 admitted before it
+    trace = make_trace([(1, [3, 1])])
+    for result in (run(trace, "srpt", 3, 1), run(trace, make_policy("srpt"), 3, 1)):
+        assert counters(result) == (2, 0, 0, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "pol, expected",
+    [("npo", (2, 2, 0, 2, 6)), ("po", (2, 1, 1, 3, 6)), ("srpt", (2, 1, 1, 3, 6))],
+)
+def test_eager_policies_with_a_one_packet_buffer(pol, expected):
+    # B = 1: the head is the whole buffer.  In slot 2 the first 1 pushes out
+    # the 3 (residual 2) on po and srpt and leaves at once; the second 1 ties
+    # its residual and is dropped.  npo drops both
+    trace = make_trace([(1, [3]), (2, [1, 1]), (5, [2])])
+    assert counters(run(trace, pol, 1, 1)) == counters(run(trace, make_policy(pol), 1, 1)) == expected
+
+
+@pytest.mark.parametrize("pol", ["lpo", "lpo_p"])
+@pytest.mark.parametrize(
+    "C, events, left, expected",
+    [
+        # C = 1: the 1 arriving in slot 2 waits out the fill of the 2 behind it
+        # and leaves in the next drain, at slot 4
+        (1, [(1, [1, 1]), (2, [1, 2])], 4, (4, 0, 0, 4, 5)),
+        # C = 2: the one marked packet left in slot 2 takes one core, and the
+        # arriving 1 is not marked, so it leaves in the next drain, at slot 3
+        (2, [(1, [1, 1, 1]), (2, [1])], 3, (4, 0, 0, 4, 3)),
+    ],
+)
+def test_one_cycle_arrival_during_drain_waits_for_the_next(pol, C, events, left, expected):
+    trace = make_trace(events)
+    slow = run(trace, pol, 4, C, record_events=True)
+    replay_event_log(trace, slow, 4, C)
+    newcomer = trace.slots.index(2) + 1
+    assert [ev.slot for ev in slow.events if newcomer in ev.transmitted] == [left]
+    assert counters(run(trace, pol, 4, C)) == counters(slow) == expected
+
+
+def test_lpo_p_spares_only_processed_packets_still_above_one():
+    # B = 3, C = 2: slot 1's fill grinds the 2 to one cycle and the 5 to 4, so
+    # the spared prefix is the 5 alone; the 3 arriving in slot 2 pushes out the
+    # unprocessed 4, the first maximum outside it.  Sparing both processed
+    # packets would leave no victim and drop the 3
+    trace = make_trace([(1, [2, 5, 4]), (2, [3])])
+    slow = run(trace, "lpo_p", 3, 2, record_events=True)
+    assert pushouts(slow) == [(3, 4)]
+    assert counters(run(trace, "lpo_p", 3, 2)) == counters(slow) == (3, 0, 1, 4, 6)
 
 
 def test_policy_instance_accepted():

@@ -51,6 +51,13 @@ def test_staggered_singles_ride_through():
     assert result.accept_mask == (False, True, True, True)
 
 
+@pytest.mark.parametrize("B, C", [(2.5, 1), (2, 1.5), (True, 1), (2, True)])
+def test_non_integer_dimensions_rejected(B, C):
+    # B = 2.5 used to answer as if B were 3, and C = 1.5 raised TypeError
+    with pytest.raises(ValueError, match="integer"):
+        offline_opt_bruteforce(make_trace([(1, [1, 2, 3])]), B, C)
+
+
 def test_empty_trace():
     result = offline_opt_bruteforce(make_trace([]), B=3)
     assert result.throughput == 0

@@ -178,6 +178,21 @@ def test_config_validation():
             bad.validate()
 
 
+def test_non_integer_point_rejected():
+    # checked before any cell runs: C = 1.5 used to pass validate() and end
+    # in a TypeError inside the lazy loop
+    for bad in (
+        SweepConfig(param="C", values=(1.5, 2), slots=100, runs=1),
+        SweepConfig(param="B", values=(2.5,)),
+        SweepConfig(param="k", values=(2.0,)),
+        SweepConfig(param="k", values=(1,), B=True),
+    ):
+        with pytest.raises(ValueError, match="integer"):
+            bad.validate()
+        with pytest.raises(ValueError, match="integer"):
+            sweep(bad)
+
+
 def test_point_substitutes_swept_parameter():
     cfg = SweepConfig(param="B", values=(7,), k=3, B=99, C=2)
     assert cfg.point(7) == (3, 7, 2)

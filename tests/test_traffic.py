@@ -33,6 +33,36 @@ def test_on_state_rate_matches_uniform_3_6():
     assert all(w == 1 for w in trace.works)
 
 
+def reference_mmpp(params, slots, seed):
+    """gen_mmpp with its ON-OFF chain advanced one slot at a time."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(slots)
+    on = np.empty(slots, dtype=bool)
+    state = False
+    for t in range(slots):
+        state = (u[t] < params.p_off_to_on) if not state else (u[t] >= params.p_on_to_off)
+        on[t] = state
+    counts = np.zeros(slots, dtype=np.int64)
+    n_on = int(on.sum())
+    counts[~on] = rng.poisson(params.lambda_off, slots - n_on)
+    counts[on] = rng.integers(params.on_count_min, params.on_count_max + 1, n_on)
+    works = rng.integers(1, params.k + 1, int(counts.sum()))
+    return np.repeat(np.arange(1, slots + 1), counts).tolist(), works.tolist(), n_on
+
+
+def test_chain_matches_the_per_slot_loop():
+    # random seeds and dwell probabilities, with p = 1, p_off_to_on above
+    # p_on_to_off, and p near 0 among them
+    rng = np.random.default_rng(7)
+    probs = [(1.0, 1.0), (1.0, 0.3), (0.3, 1.0), (0.05, 0.9), (1e-9, 0.5), (0.5, 1e-9), (1e-9, 1e-9)]
+    probs += [tuple(float(p) for p in 1.0 - rng.random(2)) for _ in range(13)]
+    for p_on_to_off, p_off_to_on in probs:
+        params = MmppParams(p_on_to_off=p_on_to_off, p_off_to_on=p_off_to_on, k=int(rng.integers(1, 41)))
+        slots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 2**32))
+        trace = gen_mmpp(params, slots, seed)
+        assert (trace.slots, trace.works, trace.metadata["on_slots"]) == reference_mmpp(params, slots, seed), params
+
+
 def test_mean_work_tracks_k():
     trace = gen_mmpp(MmppParams(k=40), 200_000, seed=12)
     assert 19.5 <= float(np.mean(trace.works)) <= 21.5
