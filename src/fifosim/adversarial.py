@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .trace import Trace
+from .trace import Trace, _check_int
 
 
 class ConstructionError(ValueError):
@@ -58,7 +58,6 @@ def _po_vs_lpo(B: int, k: int | None, **_) -> _Schedule:
     # burst of B work-2 packets, then B work-1 packets once the eager policy
     # has finished half the heavy burst; the lazy policy is still holding all
     # of its buffer and captures at most one of the light packets.
-    _require(B >= 1, "PO_VS_LPO needs B >= 1")
     if k is not None:
         _require(k >= 2, "PO_VS_LPO needs k >= 2")
     period = {1: [2] * B, B + 1: [1] * B}
@@ -185,7 +184,6 @@ def _log_recursive(B: int, k: int | None, level: int | None, **_) -> _Schedule:
     # requires B >= 8.  ``level`` defaults to 0.
     level = 0 if level is None else level
     _require(B >= 8, "LOG_RECURSIVE needs B >= 8")
-    _require(level >= 0, "LOG_RECURSIVE needs level >= 0")
     # the heavy of each level is the next level's shift
     shifts = [0]
     for _ in range(level + 1):
@@ -234,18 +232,20 @@ def gen_adversarial(
 ) -> AdversarialTrace:
     """Build a worst-case trace for one construction, tiled ``periods`` times.
 
-    ``k`` may be omitted where the schedule fixes its own works; when given
-    it must satisfy the construction's precondition.  ``level`` selects the
-    recursion depth of LOG_RECURSIVE (default 0) and is refused elsewhere.
-    All constructions except NPO_TIGHT were derived for a single core and
-    refuse C != 1.
+    ``k`` may be omitted where the schedule fixes its own works.  B, C,
+    ``periods`` and a given ``k`` are ``int``s >= 1 that meet the
+    construction's preconditions; ``level`` (an ``int`` >= 0, default 0) is
+    LOG_RECURSIVE's recursion depth and refused elsewhere.  All constructions
+    except NPO_TIGHT were derived for a single core and refuse C != 1.
     """
     name = construction.upper()
     if name not in _TABLE:
         raise ConstructionError(
             f"unknown construction {construction!r}; expected one of {', '.join(CONSTRUCTIONS)}"
         )
-    _require(periods >= 1, "periods must be >= 1")
+    for arg, value, least in (("B", B, 1), ("k", k, 1), ("C", C, 1), ("periods", periods, 1), ("level", level, 0)):
+        if value is not None or arg not in ("k", "level"):  # k and level may be omitted
+            _check_int(arg, value, least, ConstructionError)
     _require(C == 1 or name == "NPO_TIGHT", f"{name} is defined for C = 1 only")
     _require(level is None or name == "LOG_RECURSIVE", f"{name} takes no level")
     build, target, comparator = _TABLE[name]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+from .trace import _check_int
+
 
 def _floor_log(k: int, base: int) -> int:
     # exact integer floor(log_base(k)); float log is off-by-one prone
@@ -46,6 +48,6 @@ def bound_value(bound_id: str, k: int = 1, B: int = 1) -> float:
     name = bound_id.upper()
     if name not in _FORMULAS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}")
-    if k < 1 or B < 1:
-        raise ValueError("k and B must be >= 1")
+    _check_int("k", k)
+    _check_int("B", B)
     return _FORMULAS[name](k, B)

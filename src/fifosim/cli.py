@@ -15,7 +15,7 @@ from .bounds import BOUND_IDS, bound_value
 from .engine import run
 from .policies import POLICY_IDS
 from .sweep import SWEEPABLE, SweepConfig, emit_plot_data, sweep, write_results_csv
-from .trace import read_trace, write_trace
+from .trace import _check_int, read_trace, write_trace
 from .traffic import MmppParams, gen_mmpp
 from .verify import C_SWEEP, K_SWEEP, constructions_suite, golden_suite, sweep_reproduction_reports, verify_micro
 
@@ -174,9 +174,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag, value, least in (("--count", args.count, 1), ("--seed", args.seed, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}, got {value}")
+    _check_int("--count", args.count)
+    _check_int("--seed", args.seed, least=0)
     if args.suite == "golden":
         reports = golden_suite() + sweep_reproduction_reports(sweep(K_SWEEP), sweep(C_SWEEP))
     elif args.suite == "micro":

@@ -37,7 +37,7 @@ from functools import partial
 
 from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
 from .policies import ACCEPT, DROP, AdmissionDecision, make_policy
-from .trace import Trace, TraceError, _is_int, validate_trace
+from .trace import Trace, TraceError, _check_int, validate_trace
 
 
 def run(
@@ -52,23 +52,25 @@ def run(
     """Simulate one policy over one trace and return its accounting.
 
     ``policy`` is a registry id or a :class:`Policy` instance.  Identical
-    inputs produce identical results, event logs included.  A buffer size or
-    core count that is not an ``int`` >= 1 (``bool`` excluded) raises
-    ``ValueError``.
+    inputs produce identical results, event logs included.  A buffer size B or
+    core count C that is not an ``int`` >= 1 raises ``ValueError``, then an
+    invalid trace raises :class:`TraceError` unless ``validate`` is false.
     """
-    if not (_is_int(buffer_size) and buffer_size >= 1):
-        raise ValueError(f"buffer_size must be an integer >= 1, got {buffer_size!r}")
-    if not (_is_int(cores) and cores >= 1):
-        raise ValueError(f"cores must be an integer >= 1, got {cores!r}")
-    if validate:
-        errors = validate_trace(trace)
-        if errors:
-            raise TraceError("invalid trace: " + "; ".join(errors))
+    _check_entry(trace, buffer_size, cores, validate)
     # a @dataclass Policy is unhashable, so only a str is looked up
     if isinstance(policy, str) and policy in _FAST_LOOPS and not record_events:
         counts = _FAST_LOOPS[policy](trace.slots, trace.works, buffer_size, cores)
         return SimulationResult(policy, *counts)
     return _run_general(trace, policy, buffer_size, cores, record_events)
+
+
+def _check_entry(trace, B, C, validate=True) -> None:
+    """Entry check of ``run`` and the oracle: B and C each an ``int`` >= 1, then the trace."""
+    _check_int("B", B)
+    _check_int("C", C)
+    errors = validate_trace(trace) if validate else None
+    if errors:
+        raise TraceError("invalid trace: " + "; ".join(errors))
 
 
 def _run_general(trace, policy, buffer_size, cores, record_events):

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import BufferState
-from .engine import run
+from .engine import _check_entry, run
 from .policies import ACCEPT, DROP, NpoPolicy
-from .trace import Trace, TraceError, _is_int, validate_trace
+from .trace import Trace
 
 # cap on the (packet, queue) states stored over a whole search; each costs
 # about 200 bytes on CPython 3.11, so a search stays under about 250 MB
@@ -38,16 +38,12 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
     A dynamic program over (next packet index, residual queue contents); the
     slot is implied by the index.  ``explored`` counts the reachable states
     (1 on the empty trace).  Where accepting a packet ties with rejecting it,
-    the mask rejects it.  A B or C that is not an ``int`` >= 1 raises
-    ``ValueError``, an invalid trace raises :class:`TraceError`, and a
-    search above ``_MAX_STATES`` states raises :class:`OracleLimitError`
-    rather than silently truncating.
+    the mask rejects it.  The entry check is ``run``'s: a B or C that is not
+    an ``int`` >= 1 raises ``ValueError``, then an invalid trace raises
+    :class:`TraceError`.  A search above ``_MAX_STATES`` states raises
+    :class:`OracleLimitError` rather than silently truncating.
     """
-    errors = validate_trace(trace)
-    if errors:
-        raise TraceError("invalid trace: " + "; ".join(errors))
-    if not (_is_int(B) and _is_int(C) and B >= 1 and C >= 1):
-        raise ValueError(f"B and C must be integers >= 1, got B={B!r}, C={C!r}")
+    _check_entry(trace, B, C)
     slots, works = trace.slots, trace.works
     n = len(slots)
 
@@ -102,10 +98,12 @@ class ScriptedAdmissionPolicy(NpoPolicy):
         self.mask = tuple(mask)
 
     def on_arrival(self, state: BufferState, packet):
-        i = packet.id - 1
-        return ACCEPT if i < len(self.mask) and self.mask[i] else DROP
+        return ACCEPT if self.mask[packet.id - 1] else DROP
 
 
 def replay_accept_mask(trace: Trace, mask, B: int, C: int = 1):
-    """Run the engine under a scripted admission mask (oracle cross-check)."""
+    """Run the engine under a scripted admission mask, one flag per packet
+    (oracle cross-check); a mask of another length raises ``ValueError``."""
+    if len(mask) != trace.packet_count:
+        raise ValueError(f"mask has {len(mask)} entries for {trace.packet_count} packets")
     return run(trace, ScriptedAdmissionPolicy(mask), B, C)

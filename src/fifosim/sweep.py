@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import run
 from .policies import POLICY_IDS
-from .trace import _is_int
+from .trace import _check_int
 from .traffic import MmppParams, gen_mmpp
 
 SWEEPABLE = ("k", "B", "C")
@@ -51,13 +51,13 @@ class SweepConfig:
             raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {self.param!r}")
         if not self.values:
             raise ValueError("sweep needs a non-empty value range")
-        if self.slots < 1 or self.runs < 1:
-            raise ValueError("slots and runs must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        for arg, least in (("slots", 1), ("runs", 1), ("master_seed", 0)):
+            _check_int(arg, getattr(self, arg), least)
+        if self.workers is not None:
+            _check_int("workers", self.workers)
         for value in self.values:
-            if not all(_is_int(x) and x >= 1 for x in self.point(value)):
-                raise ValueError(f"k, B and C must be integers >= 1, got (k, B, C) = {self.point(value)}")
+            for arg, x in zip(("k", "B", "C"), self.point(value)):
+                _check_int(arg, x)
         self.params(self.point(self.values[0])[0])  # raises on bad ON-OFF settings
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"swept values repeat in {self.values}")

@@ -30,31 +30,50 @@ class Trace:
         return len(self.slots)
 
 
+def _check_int(name: str, value, least: int = 1, error=ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an ``int`` (``bool`` is not) >= ``least``."""
+    if type(value) is not int:
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
+
+
 def validate_trace(trace: Trace) -> list[str]:
     """Return every format violation; an empty list means the trace is usable.
 
-    Checks: equal column lengths, slots >= 1 and non-decreasing, works >= 1,
-    and works within the declared k when one is declared.  Never raises.
+    Checks: declared k an ``int`` >= 0, equal column lengths, ``int`` slots >= 1
+    and non-decreasing, ``int`` works >= 1 and within a declared k.  Never raises.
     """
     errors: list[str] = []
+    k = trace.k_declared
+    if type(k) is not int or k < 0:
+        errors.append(f"declared k must be an integer >= 0, got {k!r}")
+        k = 0
     if len(trace.slots) != len(trace.works):
         errors.append(f"{len(trace.slots)} slots but {len(trace.works)} works: columns must have equal length")
     prev_slot = 0
     for slot, work in zip(trace.slots, trace.works):
+        if type(slot) is not int or type(work) is not int:
+            errors.append(f"slot {slot!r} and work {work!r} must be integers")
+            continue
         if slot < 1:
             errors.append(f"slot {slot} is not >= 1")
         if slot < prev_slot:
             errors.append(f"slot {slot} follows slot {prev_slot}: slots must be non-decreasing")
-        prev_slot = max(prev_slot, slot)
+        prev_slot = slot
         if work < 1:
             errors.append(f"non-positive work {work} at slot {slot}")
-        elif trace.k_declared and work > trace.k_declared:
-            errors.append(f"work {work} at slot {slot} exceeds declared k={trace.k_declared}")
+        elif k and work > k:
+            errors.append(f"work {work} at slot {slot} exceeds declared k={k}")
     return errors
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write the trace as JSON lines: one header record, then one packet per line."""
+    """Write the trace as JSON lines: one header record, then one packet per line.
+    An invalid trace raises :class:`TraceError` before the file is opened."""
+    errors = validate_trace(trace)
+    if errors:
+        raise TraceError("invalid trace: " + "; ".join(errors))
     meta = trace.metadata
     header = {
         "k": trace.k_declared,
@@ -78,10 +97,6 @@ def _record(path, number: int, line: str) -> dict:
     return rec
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def read_trace(path) -> Trace:
     """Read a JSON-lines trace file written by :func:`write_trace`.
 
@@ -99,22 +114,20 @@ def read_trace(path) -> Trace:
     header = _record(path, *lines[0])
     if "k" not in header:
         raise TraceError(f"{path}: first record is not a trace header")
-    k = header["k"]
-    if not _is_int(k) or k < 0:
-        raise TraceError(f"{path}: line {lines[0][0]}: header k must be a non-negative integer")
+    _check_int(f"{path}: line {lines[0][0]}: header k", header["k"], 0, TraceError)
     slots: list[int] = []
     works: list[int] = []
     for number, line in lines[1:]:
         rec = _record(path, number, line)
         slot, work = rec.get("slot"), rec.get("work")
-        if not (_is_int(slot) and _is_int(work)):
+        if type(slot) is not int or type(work) is not int:
             raise TraceError(f"{path}: line {number}: packet record needs integer slot and work")
         slots.append(slot)
         works.append(work)
     trace = Trace(
         slots=slots,
         works=works,
-        k_declared=k,
+        k_declared=header["k"],
         metadata={
             "generator": header.get("generator", "unknown"),
             "params": header.get("params", {}),

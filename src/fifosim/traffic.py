@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .trace import Trace
+from .trace import Trace, _check_int
 
 
 @dataclass(frozen=True)
@@ -27,16 +27,14 @@ class MmppParams:
     k: int = 1
 
     def __post_init__(self):
+        for arg, least in (("on_count_min", 0), ("on_count_max", 0), ("k", 1)):
+            _check_int(arg, getattr(self, arg), least)
         if not (0 < self.p_on_to_off <= 1 and 0 < self.p_off_to_on <= 1):
             raise ValueError("transition probabilities must be in (0, 1]")
         if self.on_count_min > self.on_count_max:
             raise ValueError("on_count_min must not exceed on_count_max")
-        if self.on_count_min < 0:
-            raise ValueError("on_count_min must be >= 0")
         if not 0 <= self.lambda_off < float("inf"):  # false for nan too
             raise ValueError(f"lambda_off must be finite and >= 0, got {self.lambda_off}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
     def stationary_rate(self) -> float:
         """Mean packets per slot under the chain's stationary distribution."""
@@ -77,10 +75,8 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
     ON-slot tally so tests can check the per-state rates without
     regenerating the chain.
     """
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_int("slots", slots)
+    _check_int("seed", seed, least=0)
     rng = np.random.default_rng(seed)
     on = _on_off_chain(rng.random(slots), params.p_off_to_on, params.p_on_to_off)
     counts = np.zeros(slots, dtype=np.int64)

@@ -132,6 +132,12 @@ def test_periods_tile_cleanly():
         ("KGEB", dict(B=10, k=10, C=2)),         # single-core construction
         ("PO_VS_LPO", dict(B=10, periods=0)),
         ("KGEB", dict(B=10, k=10, level=1)),     # level is LOG_RECURSIVE's alone
+        ("KGEB", dict(B=10.5, k=11)),            # every argument is an int
+        ("PO_VS_LPO", dict(B=10, periods=1.5)),
+        ("KGEB", dict(B=10, k=10.5)),
+        ("KGEB", dict(B=10, k=10, C=1.0)),
+        ("LOG_RECURSIVE", dict(B=10, level=1.5)),
+        ("KGEB", dict(B=None, k=11)),
     ],
 )
 def test_preconditions_rejected(name, kwargs):

@@ -56,3 +56,5 @@ def test_case_insensitive_and_unknown():
         bound_value("NPO_TIGHT_K", k=0, B=1)
     with pytest.raises(ValueError):
         bound_value("LB_LOG_RECURSIVE", k=5, B=1)
+    with pytest.raises(ValueError, match="integer"):
+        bound_value("NPO_TIGHT_K", k=2.5, B=1)

@@ -76,6 +76,9 @@ def test_invalid_trace_rejected_before_slot_one():
         run(Trace(slots=[1], works=[0], k_declared=1), "npo", 2, 1)
     with pytest.raises(TraceError):
         run(Trace(slots=[3, 2], works=[1, 1], k_declared=1), "npo", 2, 1)
+    # the fast loop only: the general path never ended on a nan work
+    with pytest.raises(TraceError, match="integer"):
+        run(Trace(slots=[1], works=[float("nan")]), "npo", 2, 1)
 
 
 def test_unknown_policy_rejected():
@@ -96,12 +99,26 @@ def test_bad_dimensions_rejected():
         run(make_trace([(1, [1])]), "npo", 1, 0)
 
 
-@pytest.mark.parametrize("B, C", [(4, 2.5), (2.5, 1), (4, 1.0), (True, 1), (4, True)])
-def test_non_integer_dimensions_rejected(B, C):
+_THREE = make_trace([(1, [1, 2, 3])])
+
+
+@pytest.mark.parametrize(
+    "B, C, trace",
+    [
+        pytest.param(4, 2.5, _THREE, id="4-2.5"),
+        pytest.param(2.5, 1, _THREE, id="2.5-1"),
+        pytest.param(4, 1.0, _THREE, id="4-1.0"),
+        pytest.param(True, 1, _THREE, id="True-1"),
+        pytest.param(4, True, _THREE, id="4-True"),
+        pytest.param(4, 1, Trace([1], [2.5]), id="work-2.5"),
+        pytest.param(4, 1, Trace([1.5], [2]), id="slot-1.5"),
+        pytest.param(4, 1, Trace([1], [True]), id="work-True"),
+    ],
+)
+def test_non_integer_dimensions_rejected(B, C, trace):
     # C = 2.5 used to run as 3 cores and B = 2.5 as a buffer of 3 on the fast
     # path, while the general path raised TypeError; C = 1.0 would take the
-    # one-core loop
-    trace = make_trace([(1, [1, 2, 3])])
+    # one-core loop; a work of 2.5 gave npo's fast loop final_slot=2.5
     for policy in ("npo", make_policy("npo")):
         with pytest.raises(ValueError, match="integer"):
             run(trace, policy, B, C)

@@ -72,6 +72,9 @@ def test_empty_trace():
         Trace(slots=[0], works=[1]),  # slot below 1
         Trace(slots=[1], works=[0]),  # no work
         Trace(slots=[1, 1], works=[1]),  # columns of unequal length
+        Trace(slots=[1], works=[2.5]),  # the slot and work must be ints
+        Trace(slots=[1.5], works=[2]),
+        Trace(slots=[1], works=[True]),
     ],
 )
 def test_invalid_trace_is_refused(trace):
@@ -97,6 +100,14 @@ def test_long_construction_trace():
     assert result.throughput == 790
     assert adv.claimed_total["reference"] == 780
     assert replay_accept_mask(adv.trace, result.accept_mask, 40).transmitted_count == 790
+
+
+def test_replay_refuses_a_mask_of_another_length():
+    # a short mask used to reject the tail of the trace silently
+    trace = make_trace([(1, [1, 1])])
+    for mask in ((True,), (True, True, True)):
+        with pytest.raises(ValueError, match="mask has"):
+            replay_accept_mask(trace, mask, 2)
 
 
 def _exhaustive_best(trace, B, C):

@@ -186,6 +186,10 @@ def test_non_integer_point_rejected():
         SweepConfig(param="B", values=(2.5,)),
         SweepConfig(param="k", values=(2.0,)),
         SweepConfig(param="k", values=(1,), B=True),
+        SweepConfig(param="k", values=(1,), slots=10.5, runs=1),
+        SweepConfig(param="k", values=(1,), slots=100, runs=1.5),
+        SweepConfig(param="k", values=(1,), slots=100, runs=1, master_seed=1.5),
+        SweepConfig(param="k", values=(1,), slots=100, runs=1, workers=1.5),
     ):
         with pytest.raises(ValueError, match="integer"):
             bad.validate()

@@ -40,6 +40,27 @@ def test_validation_collects_all_violations():
     assert len(errors) == 4  # bad slot, bad work, decreasing, work > k
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [
+        Trace(slots=[1], works=[2.5]),
+        Trace(slots=[1.5], works=[2]),
+        Trace(slots=[1], works=[True]),
+        Trace(slots=[1], works=[float("nan")]),
+        Trace(slots=[2.5], works=[2.9]),  # was written as slot 2, work 2
+        Trace(slots=[1, 2], works=[1, 2], k_declared=-1),  # was one fault per packet
+        Trace(slots=[1], works=[1], k_declared=2.5),  # was a header read_trace refuses
+    ],
+)
+def test_non_integer_value_is_one_fault_and_never_written(trace, tmp_path):
+    errors = validate_trace(trace)
+    assert len(errors) == 1 and "integer" in errors[0]
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceError, match="integer"):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
 def test_unequal_column_lengths_rejected():
     trace = Trace(slots=[1, 2], works=[1], k_declared=1)
     assert any("equal length" in e for e in validate_trace(trace))

@@ -103,6 +103,9 @@ def test_off_rate_poisson_mean():
         dict(lambda_off=-1.0),
         dict(lambda_off=float("nan")),
         dict(lambda_off=float("inf")),
+        dict(k=2.5),
+        dict(on_count_min=3.5),
+        dict(on_count_max=6.5),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -113,8 +116,12 @@ def test_invalid_params_rejected(kwargs):
 def test_slot_count_must_be_positive():
     with pytest.raises(ValueError):
         gen_mmpp(MmppParams(), 0, seed=1)
+    with pytest.raises(ValueError, match="slots must be an integer"):
+        gen_mmpp(MmppParams(), 10.5, seed=1)
 
 
 def test_negative_seed_names_the_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         gen_mmpp(MmppParams(), 10, seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        gen_mmpp(MmppParams(), 10, seed=1.5)
