@@ -16,8 +16,8 @@ from .engine import _check_entry, run
 from .policies import ACCEPT, DROP, NpoPolicy
 from .trace import Trace
 
-# cap on the (packet, queue) states stored over a whole search; each costs
-# about 200 bytes on CPython 3.11, so a search stays under about 250 MB
+# cap on the (packet, queue) states visited over a whole search, which bounds
+# its work; only two layers are held at once, so memory is the largest layer
 _MAX_STATES = 1_000_000
 
 
@@ -55,10 +55,11 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
             queue = tuple([r - 1 for r in queue[:C] if r > 1]) + queue[C:]
         return queue
 
-    # forward pass: each reachable queue before packet i -> the queue before
-    # packet i + 1 if i is rejected, and if it is accepted (None: buffer full)
-    layers: list[dict] = []
-    frontier = {()}
+    # one forward pass: each reachable queue before packet i keeps its best
+    # (admissions so far, -mask so far), the mask read as a binary number with
+    # packet 0 as its most significant bit.  Paths to the same queue share its
+    # future, so the final max is the optimum with its smallest optimal mask
+    frontier = {(): (0, 0)}
     stored = 0
     for i in range(n):
         stored += len(frontier)
@@ -66,26 +67,16 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
             raise OracleLimitError(f"search needs more than {_MAX_STATES} states")
         gap = slots[i + 1] - slots[i] if i + 1 < n else 0
         w = (works[i],)
-        layer = {q: (advance(q, gap), advance(q + w, gap) if len(q) < B else None) for q in frontier}
-        layers.append(layer)
-        frontier = {q for pair in layer.values() for q in pair if q is not None}
-
-    # backward pass: from each queue, the most later packets that can still be
-    # admitted, each of which is then transmitted
-    values = [dict.fromkeys(frontier, 0)]
-    for layer in reversed(layers):
-        after = values[-1]
-        values.append({q: max(after[r], 0 if a is None else 1 + after[a]) for q, (r, a) in layer.items()})
-    values.reverse()
-
-    # forward walk from the empty queue: accept only where strictly better
-    mask = []
-    queue: tuple[int, ...] = ()
-    for layer, after in zip(layers, values[1:]):
-        rej, acc = layer[queue]
-        mask.append(acc is not None and 1 + after[acc] > after[rej])
-        queue = acc if mask[-1] else rej
-    return OracleResult(values[0][()], tuple(mask), stored or 1)
+        layer: dict = {}
+        for q, (g, m) in frontier.items():
+            r, best = advance(q, gap), (g, 2 * m)
+            layer[r] = max(layer.get(r, best), best)
+            if len(q) < B:
+                a, best = advance(q + w, gap), (g + 1, 2 * m - 1)
+                layer[a] = max(layer.get(a, best), best)
+        frontier = layer
+    g, m = max(frontier.values())
+    return OracleResult(g, tuple(bool(-m >> j & 1) for j in reversed(range(n))), stored or 1)
 
 
 class ScriptedAdmissionPolicy(NpoPolicy):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ class MmppParams:
     def __post_init__(self):
         for arg, least in (("on_count_min", 0), ("on_count_max", 0), ("k", 1)):
             _check_int(arg, getattr(self, arg), least)
+        for arg in ("lambda_off", "p_on_to_off", "p_off_to_on"):
+            value = getattr(self, arg)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{arg} must be a number, got {value!r}")
         if not (0 < self.p_on_to_off <= 1 and 0 < self.p_off_to_on <= 1):
             raise ValueError("transition probabilities must be in (0, 1]")
         if self.on_count_min > self.on_count_max:

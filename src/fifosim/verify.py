@@ -15,7 +15,7 @@ from .bounds import bound_value
 from .engine import run
 from .oracle import offline_opt_bruteforce, replay_accept_mask
 from .sweep import ResultTable, SweepConfig, sweep, write_results_csv
-from .trace import Trace
+from .trace import Trace, _check_int
 
 
 @dataclass
@@ -151,8 +151,11 @@ def verify_micro(count: int = 200, seed: int = 0) -> VerificationReport:
     oracle's; the oracle is at most k times the non-push-out throughput; and
     replaying the oracle's accept mask reproduces its value exactly.  The
     reference policy's relation to the oracle and the log-form upper bound
-    are tallied and reported, not asserted.
+    are tallied and reported, not asserted.  A ``count`` that is not an
+    ``int`` >= 1, or a ``seed`` that is not an ``int`` >= 0, raises ``ValueError``.
     """
+    _check_int("count", count)
+    _check_int("seed", seed, least=0)
     failures: list[str] = []
     srpt_below = 0
     ln_bound_misses = 0

@@ -1,6 +1,7 @@
 """Engine behaviour: phase order, drain to empty, accounting, determinism."""
 
 import itertools
+import re
 from enum import Enum
 
 import pytest
@@ -409,6 +410,43 @@ def test_bad_ids_from_custom_policy_raise_simulation_error():
     for policy in (EvictsStranger(), SelectsStranger()):
         with pytest.raises(SimulationError, match="unknown packet 999"):
             run(trace, policy, 2, 1)
+
+
+def test_broken_invariants_from_custom_policy_raise_simulation_error():
+    class EvictsLighter(Policy):
+        def on_arrival(self, state, packet):
+            return push_out(state.queue[0].id) if state.is_full() else ACCEPT
+
+        def select_processing(self, state, cores):
+            return []
+
+    class ZeroesThenSelects(Policy):
+        def on_arrival(self, state, packet):
+            return ACCEPT
+
+        def select_processing(self, state, cores):
+            state.queue[0].residual_work = 0
+            return [state.queue[0].id]
+
+    class ClearsQueue(Policy):
+        def on_arrival(self, state, packet):
+            state.queue.clear()
+            return ACCEPT
+
+        def select_processing(self, state, cores):
+            return [p.id for p in state.queue[:cores]]
+
+    for policy, trace, message in (
+        (EvictsLighter(), make_trace([(1, [1, 2])]), "push-out of residual 1 for work 2"),
+        (ZeroesThenSelects(), make_trace([(1, [2])]), "selected at zero residual"),
+        (
+            ClearsQueue(),
+            make_trace([(1, [2, 2])]),
+            re.escape("conservation violated (admitted 2 != transmitted 1 + pushed out 0)"),
+        ),
+    ):
+        with pytest.raises(SimulationError, match=message):
+            run(trace, policy, 1, 1)
 
 
 class Answers(Policy):

@@ -173,6 +173,7 @@ def test_config_validation():
         SweepConfig(param="k", values=(1,), master_seed=-1),
         SweepConfig(param="C", values=(1, 2), on_count_min=5, on_count_max=2, workers=2),
         SweepConfig(param="k", values=(1,), lambda_off=float("nan")),
+        SweepConfig(param="k", values=(1,), lambda_off="x"),
     ):
         with pytest.raises(ValueError):
             bad.validate()

@@ -106,6 +106,11 @@ def test_off_rate_poisson_mean():
         dict(k=2.5),
         dict(on_count_min=3.5),
         dict(on_count_max=6.5),
+        # a non-number used to escape as TypeError, and True passed as 1
+        dict(lambda_off="x"),
+        dict(lambda_off=True),
+        dict(p_on_to_off=None),
+        dict(p_off_to_on="0.05"),
     ],
 )
 def test_invalid_params_rejected(kwargs):

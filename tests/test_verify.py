@@ -1,5 +1,7 @@
 """Verification reports: construction checks, micro suite, report lines."""
 
+import pytest
+
 from fifosim import verify_construction, verify_micro
 from fifosim.adversarial import CONSTRUCTIONS
 from fifosim.verify import _RULES, CONSTRUCTION_CASES, constructions_suite, golden_suite
@@ -27,6 +29,21 @@ def test_micro_suite_small_run():
     # reference-vs-oracle tallies are reported, not asserted
     assert "srpt_below_oracle" in rep.measured
     assert "ln_bound_misses" in rep.measured
+
+
+@pytest.mark.parametrize(
+    "count, seed, message",
+    [
+        (0, 0, "count must be >= 1"),  # used to pass over no instances
+        (True, 0, "count must be an integer"),
+        (1.5, 0, "count must be an integer"),  # used to escape as TypeError
+        (1, -1, "seed must be >= 0"),  # used to escape from numpy
+        (1, 0.5, "seed must be an integer"),
+    ],
+)
+def test_micro_suite_refuses_bad_arguments(count, seed, message):
+    with pytest.raises(ValueError, match=message):
+        verify_micro(count=count, seed=seed)
 
 
 def test_micro_suite_deterministic():
