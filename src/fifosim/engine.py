@@ -75,6 +75,7 @@ def _check_entry(trace, B, C, validate=True) -> None:
 
 def _run_general(trace, policy, buffer_size, cores, record_events):
     pol = make_policy(policy)
+    name, on_arrival, select = pol.name, pol.on_arrival, pol.select_processing
     state = BufferState(capacity=buffer_size)
     queue = state.queue
     slots, works = trace.slots, trace.works
@@ -98,10 +99,10 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
             w = works[i]
             i += 1
             pkt = Packet(i, w)
-            decision = pol.on_arrival(state, pkt)
+            decision = on_arrival(state, pkt)
             if decision is ACCEPT:
                 if state.is_full():
-                    raise SimulationError(f"{pol.name}: accept with a full buffer at slot {t}")
+                    raise SimulationError(f"{name}: accept with a full buffer at slot {t}")
                 queue.append(pkt)
                 admitted += 1
                 if slot_ev:
@@ -111,17 +112,17 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
                 if slot_ev:
                     slot_ev.dropped_on_arrival.append(pkt.id)
             elif not isinstance(decision, AdmissionDecision):
-                raise SimulationError(f"{pol.name}: on_arrival answered {decision!r} at slot {t}")
+                raise SimulationError(f"{name}: on_arrival answered {decision!r} at slot {t}")
             else:
-                victim = next((p for p in queue if p.id == decision.victim_id), None)
-                if victim is None:
-                    raise SimulationError(
-                        f"{pol.name}: push-out of unknown packet {decision.victim_id} at slot {t}"
-                    )
+                for victim in queue:
+                    if victim.id == decision.victim_id:
+                        break
+                else:
+                    raise SimulationError(f"{name}: push-out of unknown packet {decision.victim_id} at slot {t}")
                 if victim.residual_work <= w:
                     # push-out must strictly reduce total residual work
                     raise SimulationError(
-                        f"{pol.name}: push-out of residual {victim.residual_work} for work {w} at slot {t}"
+                        f"{name}: push-out of residual {victim.residual_work} for work {w} at slot {t}"
                     )
                 queue.remove(victim)
                 queue.append(pkt)
@@ -132,27 +133,30 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
                     slot_ev.admitted.append(pkt.id)
 
         # phase (ii): processing
-        selected = pol.select_processing(state, cores)
+        selected = select(state, cores)
         if not isinstance(selected, (list, tuple)):
-            raise SimulationError(f"{pol.name}: select_processing answered {selected!r} at slot {t}")
+            raise SimulationError(f"{name}: select_processing answered {selected!r} at slot {t}")
         if len(selected) > cores:
-            raise SimulationError(f"{pol.name}: selected {len(selected)} > C={cores} at slot {t}")
+            raise SimulationError(f"{name}: selected {len(selected)} > C={cores} at slot {t}")
         found: list[Packet] = []
         for pid in selected:
             # a scan, not a dict: a policy's id need not be hashable
-            pkt = next((p for p in queue if p.id == pid), None)
-            if pkt is None:
-                raise SimulationError(f"{pol.name}: selected unknown packet {pid} at slot {t}")
-            if pkt in found:
-                raise SimulationError(f"{pol.name}: packet {pid} selected twice at slot {t}")
+            for pkt in queue:
+                if pkt.id == pid:
+                    break
+            else:
+                raise SimulationError(f"{name}: selected unknown packet {pid} at slot {t}")
+            for other in found:
+                if other is pkt:
+                    raise SimulationError(f"{name}: packet {pid} selected twice at slot {t}")
             if pkt.residual_work <= 0:
-                raise SimulationError(f"{pol.name}: packet {pid} selected at zero residual at slot {t}")
+                raise SimulationError(f"{name}: packet {pid} selected at zero residual at slot {t}")
             pkt.residual_work -= 1
             found.append(pkt)
         if slot_ev:
             slot_ev.processed.extend(selected)
 
-        # phase (iii): transmission
+        # phase (iii): transmission of every zero residual, selected or not
         if selected:
             kept = []
             for p in queue:
@@ -165,25 +169,17 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
             if len(kept) != len(queue):
                 queue[:] = kept
         elif queue and i >= n:
-            raise SimulationError(f"{pol.name}: no progress with {len(queue)} packets queued at slot {t}")
+            raise SimulationError(f"{name}: no progress with {len(queue)} packets queued at slot {t}")
 
         if log is not None:
             log.append(slot_ev)
 
     if admitted != transmitted + pushed:
         raise SimulationError(
-            f"{pol.name}: conservation violated "
+            f"{name}: conservation violated "
             f"(admitted {admitted} != transmitted {transmitted} + pushed out {pushed})"
         )
-    return SimulationResult(
-        policy=pol.name,
-        final_slot=t,
-        transmitted_count=transmitted,
-        dropped_count=dropped,
-        pushout_count=pushed,
-        admitted_count=admitted,
-        events=log,
-    )
+    return SimulationResult(name, t, transmitted, dropped, pushed, admitted, log)
 
 
 # ---------------------------------------------------------------------------

@@ -48,11 +48,15 @@ def offline_opt_bruteforce(trace: Trace, B: int, C: int = 1) -> OracleResult:
     n = len(slots)
 
     def advance(queue: tuple[int, ...], nslots: int) -> tuple[int, ...]:
-        # work-conserving FIFO: the first min(C, occupancy) residuals each lose one
-        for _ in range(nslots):
-            if not queue:
-                break
-            queue = tuple([r - 1 for r in queue[:C] if r > 1]) + queue[C:]
+        # work-conserving FIFO: the first min(C, occupancy) residuals each lose
+        # one per slot, so the window holds until its smallest residual ends
+        while queue and nslots:
+            step = min(nslots, *queue[:C])
+            head = []
+            for r in queue[:C]:
+                if r > step:
+                    head.append(r - step)
+            queue, nslots = (*head, *queue[C:]), nslots - step
         return queue
 
     # one forward pass: each reachable queue before packet i keeps its best

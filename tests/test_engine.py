@@ -449,6 +449,34 @@ def test_broken_invariants_from_custom_policy_raise_simulation_error():
             run(trace, policy, 1, 1)
 
 
+def test_accept_into_a_full_buffer_raises_simulation_error():
+    class AlwaysAccepts(Policy):
+        def on_arrival(self, state, packet):
+            return ACCEPT
+
+        def select_processing(self, state, cores):
+            return [p.id for p in state.queue[:cores]]
+
+    with pytest.raises(SimulationError, match=r"^AlwaysAccepts: accept with a full buffer at slot 1$"):
+        run(make_trace([(1, [2, 2])]), AlwaysAccepts(), 1, 1)
+
+
+def test_packet_zeroed_without_selection_leaves_in_that_slot():
+    # transmission scans the whole queue, not only the packets selected
+    class ZeroesTheTail(Policy):
+        def on_arrival(self, state, packet):
+            return ACCEPT
+
+        def select_processing(self, state, cores):
+            if len(state.queue) > 1:
+                state.queue[-1].residual_work = 0
+            return [state.queue[0].id]
+
+    result = run(make_trace([(1, [2, 3])]), ZeroesTheTail(), 2, 1, record_events=True)
+    assert [(ev.slot, ev.processed, ev.transmitted) for ev in result.events] == [(1, [1], [2]), (2, [1], [1])]
+    assert (result.transmitted_count, result.final_slot) == (2, 2)
+
+
 class Answers(Policy):
     """Gives the same admission answer to every arrival and the same selection
     to every processing phase."""

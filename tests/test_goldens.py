@@ -9,9 +9,12 @@ accept mask.  The trace rows pin the generated traffic, and the
 construction-trace rows every construction setting, to the bytes of its
 JSON-lines file.  ``verify_lines.txt`` pins the report lines that
 ``fifosim verify`` prints for the golden, constructions and micro suites.
+``event_logs.json`` pins the general path's event log, as the sha256 of its
+JSON form, for every policy at k in {5, 40}, B in {1, 10}, C in {1, 5}, and
+for every construction's reference replay.
 
 Re-record (only when a behaviour change is intended) with
-``PYTHONPATH=src python tests/test_goldens.py``, which writes both files.
+``PYTHONPATH=src python tests/test_goldens.py``, which writes all three files.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ from fifosim import (
     run,
     write_trace,
 )
+from fifosim.oracle import ScriptedAdmissionPolicy
 from fifosim.verify import CONSTRUCTION_CASES, GOLDEN_CASES, constructions_suite, golden_suite, verify_micro
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_counters.json"
 VERIFY_LINES_PATH = GOLDEN_PATH.parent / "verify_lines.txt"
+EVENT_LOGS_PATH = GOLDEN_PATH.parent / "event_logs.json"
 
 POLICIES = ("npo", "po", "lpo", "lpo_p", "srpt")
 KS = (1, 5, 40)
@@ -107,6 +112,34 @@ def construction_rows(name: str, kwargs: dict) -> list[dict]:
     return rows
 
 
+def _log_row(res) -> dict:
+    events = [
+        [ev.slot, ev.admitted, ev.dropped_on_arrival, ev.pushed_out, ev.processed, ev.transmitted]
+        for ev in res.events
+    ]
+    digest = hashlib.sha256(json.dumps(events).encode()).hexdigest()
+    return {"slots": len(events), "sha256": digest}
+
+
+def event_log_rows() -> list[dict]:
+    """Event-log digests of the general path: the policy grid, then each reference replay."""
+    rows = []
+    for k in (5, 40):
+        trace = _mmpp(k)
+        for B in (1, 10):
+            for C in (1, 5):
+                for pol in POLICIES:
+                    res = run(trace, make_policy(pol), B, C, record_events=True)
+                    rows.append({"policy": pol, "k": k, "B": B, "C": C, **_log_row(res)})
+    for name, kw in CONSTRUCTIONS:
+        adv = gen_adversarial(name, **kw)
+        if adv.reference_mask is not None:
+            policy = ScriptedAdmissionPolicy(adv.reference_mask)
+            res = run(adv.trace, policy, kw["B"], kw.get("C", 1), record_events=True)
+            rows.append({"construction": name, **kw, **_log_row(res)})
+    return rows
+
+
 def verify_lines() -> str:
     reports = golden_suite() + constructions_suite() + [verify_micro(200, seed=0)]
     return "".join(rep.line() + "\n" for rep in reports)
@@ -146,8 +179,16 @@ def test_construction_counters_match_goldens(golden):
     assert got == golden["constructions"]
 
 
+def test_event_logs_match_goldens():
+    assert event_log_rows() == json.loads(EVENT_LOGS_PATH.read_text(encoding="utf-8"))
+
+
 def test_verify_lines_match_goldens():
     assert verify_lines() == VERIFY_LINES_PATH.read_text(encoding="utf-8")
+
+
+def _write_rows(fh, rows, indent: str) -> None:
+    fh.write(",\n".join(indent + json.dumps(row) for row in rows))
 
 
 if __name__ == "__main__":
@@ -157,8 +198,12 @@ if __name__ == "__main__":
         fh.write("{\n")
         for i, (section, rows) in enumerate(data.items()):
             fh.write(f'  "{section}": [\n')
-            fh.write(",\n".join("    " + json.dumps(row) for row in rows))
+            _write_rows(fh, rows, "    ")
             fh.write("\n  ]" + (",\n" if i < len(data) - 1 else "\n"))
         fh.write("}\n")
     VERIFY_LINES_PATH.write_text(verify_lines(), encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH} and {VERIFY_LINES_PATH}")
+    with open(EVENT_LOGS_PATH, "w", encoding="utf-8") as fh:
+        fh.write("[\n")
+        _write_rows(fh, event_log_rows(), "  ")
+        fh.write("\n]\n")
+    print(f"wrote {GOLDEN_PATH}, {VERIFY_LINES_PATH} and {EVENT_LOGS_PATH}")

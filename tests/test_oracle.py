@@ -235,6 +235,55 @@ def test_widened_search_gains_nothing(rng):
         assert _pushout_search(trace, B, C) == offline_opt_bruteforce(trace, B, C).throughput
 
 
+def _slot_by_slot_opt(trace, B, C):
+    """The oracle's dynamic program with the queue advanced one slot at a time.
+
+    Returns ``(throughput, accept_mask, explored)`` by the oracle's rules: the
+    layer sizes summed, and the smallest optimal mask read as a binary number
+    with packet 0 as its most significant bit (a tie rejects).
+    """
+    slots, works, n = trace.slots, trace.works, trace.packet_count
+
+    def advance(queue, nslots):
+        for _ in range(nslots):
+            if not queue:
+                break
+            queue = tuple(r - 1 for r in queue[:C] if r > 1) + queue[C:]
+        return queue
+
+    frontier, explored = {(): (0, 0)}, 0
+    for i in range(n):
+        explored += len(frontier)
+        gap = slots[i + 1] - slots[i] if i + 1 < n else 0
+        layer = {}
+        for q, (g, m) in frontier.items():
+            successors = [(advance(q, gap), (g, 2 * m))]
+            if len(q) < B:
+                successors.append((advance(q + (works[i],), gap), (g + 1, 2 * m - 1)))
+            for r, best in successors:
+                layer[r] = max(layer.get(r, best), best)
+        frontier = layer
+    g, m = max(frontier.values())
+    return g, tuple(bool(-m >> j & 1) for j in reversed(range(n))), explored or 1
+
+
+def test_window_advance_matches_slot_by_slot_advance(rng):
+    # the oracle steps its processing window by the smallest residual in it;
+    # the states, the optimum, the mask and the count must match stepping by one
+    for _ in range(600):
+        trace = random_trace(rng, max_packets=12, max_slot=10, max_k=6)
+        B = int(rng.integers(1, 5))
+        C = int(rng.integers(1, 5))
+        result = offline_opt_bruteforce(trace, B, C)
+        assert (result.throughput, result.accept_mask, result.explored) == _slot_by_slot_opt(trace, B, C)
+
+
+def test_replay_refuses_an_accept_into_a_full_buffer():
+    # the refusal _exhaustive_best passes over for an infeasible mask
+    with pytest.raises(SimulationError, match=r"^scripted: accept with a full buffer at slot 1$"):
+        replay_accept_mask(Trace([1, 1], [2, 2]), (True, True), 1)
+
+
 def test_explored_counts_states():
     result = offline_opt_bruteforce(make_trace([(1, [2, 1]), (3, [1])]), B=2)
     assert result.explored == 5

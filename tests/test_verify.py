@@ -1,7 +1,11 @@
 """Verification reports: construction checks, micro suite, report lines."""
 
+import hashlib
+import json
+
 import pytest
 
+import fifosim.verify
 from fifosim import verify_construction, verify_micro
 from fifosim.adversarial import CONSTRUCTIONS
 from fifosim.verify import _RULES, CONSTRUCTION_CASES, constructions_suite, golden_suite
@@ -50,6 +54,23 @@ def test_micro_suite_deterministic():
     a = verify_micro(count=10, seed=3)
     b = verify_micro(count=10, seed=3)
     assert a.measured == b.measured
+
+
+def test_micro_instances_are_pinned(monkeypatch):
+    # every (B, slots, works, k) the micro suite hands the oracle, in order;
+    # a cheaper way of drawing them must draw the same instances
+    seen = []
+    oracle = fifosim.verify.offline_opt_bruteforce
+
+    def recording(trace, B, C=1):
+        seen.append([B, trace.slots, trace.works, trace.k_declared])
+        return oracle(trace, B, C)
+
+    monkeypatch.setattr(fifosim.verify, "offline_opt_bruteforce", recording)
+    assert verify_micro(2000, seed=0).passed
+    assert len(seen) == 2000
+    digest = hashlib.sha256(json.dumps(seen).encode()).hexdigest()
+    assert digest == "de86f5fb95bf58641598f30c99a45075a478656de747b73fe938960997015337"
 
 
 def test_micro_relations_on_fixed_instances():
