@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:  # TraceError, UnknownPolicyError and ConstructionError too
+    except (OSError, ValueError, MemoryError) as exc:  # TraceError, UnknownPolicyError and ConstructionError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

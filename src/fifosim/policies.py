@@ -67,7 +67,10 @@ class NpoPolicy(Policy):
 
     def select_processing(self, state, cores):
         """The first min(C, occupancy) packets."""
-        return [p.id for p in state.queue[:cores]]
+        ids = []
+        for p in state.queue[:cores]:
+            ids.append(p.id)
+        return ids
 
 
 class PoPolicy(NpoPolicy):
@@ -105,14 +108,17 @@ class LpoPolicy(PoPolicy):
         buffered packet is down to one cycle, the buffer is marked and drain
         selects the first marked packets, never an unmarked one; fill resumes
         once every marked packet has left."""
-        queue = state.queue
+        queue, ids = state.queue, []
         if not self.draining and queue and all(p.residual_work == 1 for p in queue):
             self.draining = {p.id for p in queue}
-        if self.draining:
-            ids = [p.id for p in queue if p.id in self.draining][:cores]
-            self.draining.difference_update(ids)  # one cycle left: they leave this slot
-            return ids
-        return [p.id for p in queue if p.residual_work > 1][:cores]
+        draining = self.draining
+        for p in queue:
+            if (p.id in draining) if draining else (p.residual_work > 1):
+                ids.append(p.id)
+                if len(ids) == cores:
+                    break
+        draining.difference_update(ids)  # one cycle left: they leave this slot
+        return ids
 
 
 class LpoPPolicy(LpoPolicy):
@@ -134,7 +140,10 @@ class SrptPolicy(PoPolicy):
 
     def select_processing(self, state, cores):
         """The C smallest residuals; the stable sort breaks ties by admission order."""
-        return [p.id for p in sorted(state.queue, key=lambda p: p.residual_work)[:cores]]
+        ids = []
+        for p in sorted(state.queue, key=lambda p: p.residual_work)[:cores]:
+            ids.append(p.id)
+        return ids
 
 
 _REGISTRY = {

@@ -75,10 +75,11 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
 
     The chain starts OFF and advances once per slot before that slot's count
     is drawn.  Its states are computed for all slots at once, as array
-    operations on one uniform draw per slot, in a helper whose temporaries
-    are freed before the trace's lists are built.  Metadata records the
-    ON-slot tally so tests can check the per-state rates without
-    regenerating the chain.
+    operations on one uniform draw per slot.  ``slots`` holds one ``int``
+    per arrival slot, repeated by reference for each of its packets, and
+    each array temporary is dropped as soon as it has been used.  Metadata
+    records the ON-slot tally so tests can check the per-state rates
+    without regenerating the chain.
     """
     _check_int("slots", slots)
     _check_int("seed", seed, least=0)
@@ -88,18 +89,21 @@ def gen_mmpp(params: MmppParams, slots: int, seed: int) -> Trace:
     n_on = int(on.sum())
     counts[~on] = rng.poisson(params.lambda_off, slots - n_on)
     counts[on] = rng.integers(params.on_count_min, params.on_count_max + 1, n_on)
-    total = int(counts.sum())
-    all_works = rng.integers(1, params.k + 1, total)
+    on_arrivals = int(counts[on].sum())
+    del on
+    works = rng.integers(1, params.k + 1, int(counts.sum())).tolist()
+    busy = np.flatnonzero(counts)
+    counts = counts[busy]  # frees the per-slot array before the slot list is built
 
     return Trace(
-        slots=np.repeat(np.arange(1, slots + 1), counts).tolist(),
-        works=all_works.tolist(),
+        slots=np.repeat((busy + 1).astype(object), counts).tolist(),
+        works=works,
         k_declared=params.k,
         metadata={
             "generator": "mmpp",
             "seed": int(seed),
             "params": asdict(params),
             "on_slots": n_on,
-            "on_arrivals": int(counts[on].sum()),
+            "on_arrivals": on_arrivals,
         },
     )

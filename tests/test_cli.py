@@ -81,6 +81,19 @@ def test_gen_unwritable_out_names_path(tmp_path, capsys):
         assert str(out) in capsys.readouterr().err
 
 
+def test_gen_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError when it refuses an allocation; a real one of
+    # that size could instead be killed on a host that overcommits memory
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 608. TiB for an array with shape (83560000000000,)")
+
+    monkeypatch.setattr("fifosim.cli.gen_mmpp", refuse)
+    out = tmp_path / "m.jsonl"
+    assert main(["gen", "--mmpp", "--slots", "1000", "--k", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 608. TiB for an array with shape (83560000000000,)\n"
+    assert not out.exists()
+
+
 def test_gen_rejects_bad_construction_params(capsys):
     code = main(["gen", "--construction", "KGEB", "--buffer", "10", "--k", "3", "--out", "/tmp/x"])
     assert code == 2

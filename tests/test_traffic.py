@@ -1,9 +1,11 @@
 """Statistical checks for the modulated traffic source (fixed seeds)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fifosim import MmppParams, gen_mmpp, validate_trace
+from fifosim import MmppParams, derive_run_seed, gen_mmpp, validate_trace
 
 
 def test_same_seed_reproduces_trace():
@@ -47,7 +49,7 @@ def reference_mmpp(params, slots, seed):
     counts[~on] = rng.poisson(params.lambda_off, slots - n_on)
     counts[on] = rng.integers(params.on_count_min, params.on_count_max + 1, n_on)
     works = rng.integers(1, params.k + 1, int(counts.sum()))
-    return np.repeat(np.arange(1, slots + 1), counts).tolist(), works.tolist(), n_on
+    return np.repeat(np.arange(1, slots + 1), counts).tolist(), works.tolist(), n_on, int(counts[on].sum())
 
 
 def test_chain_matches_the_per_slot_loop():
@@ -60,7 +62,31 @@ def test_chain_matches_the_per_slot_loop():
         params = MmppParams(p_on_to_off=p_on_to_off, p_off_to_on=p_off_to_on, k=int(rng.integers(1, 41)))
         slots, seed = int(rng.integers(1, 3000)), int(rng.integers(0, 2**32))
         trace = gen_mmpp(params, slots, seed)
-        assert (trace.slots, trace.works, trace.metadata["on_slots"]) == reference_mmpp(params, slots, seed), params
+        meta = trace.metadata
+        assert (trace.slots, trace.works, meta["on_slots"], meta["on_arrivals"]) == reference_mmpp(params, slots, seed), params
+
+
+@pytest.mark.parametrize("point_index, k", [(0, 1), (4, 5), (39, 40)])
+def test_sweep_cell_trace_matches_the_reference(point_index, k):
+    # the k-sweep's cells at master seed 0, at the acceptance size
+    params, seed = MmppParams(k=k), derive_run_seed(0, point_index, 0)
+    trace = gen_mmpp(params, 200_000, seed)
+    meta = trace.metadata
+    assert (trace.slots, trace.works, meta["on_slots"], meta["on_arrivals"]) == reference_mmpp(params, 200_000, seed)
+    assert {type(s) for s in trace.slots} == {int}
+    # one int object per arrival slot, shared by that slot's packets
+    assert len({id(s) for s in trace.slots}) == len(set(trace.slots))
+
+
+def test_generation_peak_memory():
+    # one int object per packet peaked at 13.87 MB; one per arrival slot peaks at 8.8 MB
+    tracemalloc.start()
+    try:
+        gen_mmpp(MmppParams(k=5), 200_000, seed=derive_run_seed(0, 4, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 2**20
 
 
 def test_mean_work_tracks_k():
