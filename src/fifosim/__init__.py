@@ -5,12 +5,7 @@ instances, and the claimed-ratio checks tying them together."""
 
 from .adversarial import ConstructionError, gen_adversarial
 from .bounds import BOUND_IDS, bound_value
-from .core import (
-    BufferState,
-    Packet,
-    SimulationError,
-)
-from .engine import run
+from .engine import SimulationError, run
 from .oracle import (
     OracleLimitError,
     offline_opt_bruteforce,
@@ -19,6 +14,8 @@ from .oracle import (
 from .policies import (
     ACCEPT,
     DROP,
+    BufferState,
+    Packet,
     Policy,
     UnknownPolicyError,
     make_policy,

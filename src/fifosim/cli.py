@@ -159,7 +159,6 @@ def _cmd_sweep(args) -> int:
         runs=args.runs,
         master_seed=args.seed,
     )
-    config.validate()
     out_dir = os.path.dirname(args.out) or "."
     if not os.path.isdir(out_dir):
         raise ValueError(f"--out {args.out}: no such directory {out_dir}")

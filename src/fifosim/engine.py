@@ -33,11 +33,41 @@ of the trace as id ``i + 1``.  Both paths produce identical counts.
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass, field
 from functools import partial
 
-from .core import BufferState, Packet, SimulationResult, SlotEvents, SimulationError
-from .policies import ACCEPT, DROP, AdmissionDecision, make_policy
+from .policies import ACCEPT, DROP, AdmissionDecision, BufferState, Packet, make_policy
 from .trace import Trace, TraceError, _check_int, validate_trace
+
+
+class SimulationError(RuntimeError):
+    """Raised when the engine detects an internal invariant violation."""
+
+
+@dataclass
+class SlotEvents:
+    """What happened in a single slot, phase by phase."""
+
+    slot: int
+    admitted: list[int] = field(default_factory=list)
+    dropped_on_arrival: list[int] = field(default_factory=list)
+    pushed_out: list[tuple[int, int]] = field(default_factory=list)  # (victim, incoming)
+    processed: list[int] = field(default_factory=list)
+    transmitted: list[int] = field(default_factory=list)
+
+
+@dataclass
+class SimulationResult:
+    """Counters for one run; the buffer size and core count are the caller's
+    own arguments to ``run``.  The event log is opt-in."""
+
+    policy: str
+    final_slot: int
+    transmitted_count: int
+    dropped_count: int
+    pushout_count: int
+    admitted_count: int
+    events: list[SlotEvents] | None = None
 
 
 def run(

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BufferState
 from .engine import _check_entry, run
-from .policies import ACCEPT, DROP, NpoPolicy
+from .policies import ACCEPT, DROP, BufferState, NpoPolicy
 from .trace import Trace
 
 # cap on the (packet, queue) states visited over a whole search, which bounds

@@ -10,14 +10,32 @@ being drained, and for lpo_p the last selection) on the instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-
-from .core import BufferState, Packet
 
 
 class UnknownPolicyError(ValueError):
     """Raised for a policy id outside the registry."""
+
+
+@dataclass(slots=True)
+class Packet:
+    """A unit-size packet and the processing cycles it still owes; an arriving
+    packet owes its whole required work."""
+
+    id: int
+    residual_work: int
+
+
+@dataclass
+class BufferState:
+    """FIFO queue (index 0 = head-of-line, last = most recent admission)."""
+
+    capacity: int
+    queue: list[Packet] = field(default_factory=list)
+
+    def is_full(self) -> bool:
+        return len(self.queue) >= self.capacity
 
 
 # the two answers that carry no data, told apart by identity

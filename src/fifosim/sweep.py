@@ -46,7 +46,7 @@ class SweepConfig:
     out_csv: str | None = None
     out_plot_prefix: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.param not in SWEEPABLE:
             raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {self.param!r}")
         if not self.values:
@@ -145,7 +145,6 @@ def _ratio(transmitted: int, reference: int) -> float:
 
 def sweep(config: SweepConfig) -> ResultTable:
     """Run the sweep and aggregate per-point means and population stds."""
-    config.validate()
     cells = [
         (value, derive_run_seed(config.master_seed, pi, r))
         for pi, value in enumerate(config.values)

@@ -70,7 +70,8 @@ def validate_trace(trace: Trace) -> list[str]:
 
 def write_trace(trace: Trace, path) -> None:
     """Write the trace as JSON lines: one header record, then one packet per line.
-    An invalid trace raises :class:`TraceError` before the file is opened."""
+    An invalid trace raises :class:`TraceError`, and a header JSON cannot hold
+    raises ``TypeError``, before the file is opened."""
     errors = validate_trace(trace)
     if errors:
         raise TraceError("invalid trace: " + "; ".join(errors))
@@ -81,8 +82,9 @@ def write_trace(trace: Trace, path) -> None:
         "params": meta.get("params", {}),
         "seed": meta.get("seed", 0),
     }
+    line = json.dumps(header) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header) + "\n")
+        fh.write(line)
         for slot, work in zip(trace.slots, trace.works):
             fh.write('{"slot": %d, "work": %d}\n' % (slot, work))
 

@@ -174,6 +174,24 @@ def test_verify_micro_exit_zero(capsys):
     assert "1/1 checks passed" in out
 
 
+def test_verify_micro_failure_prints_details(capsys, monkeypatch):
+    import fifosim.verify
+    from dataclasses import replace
+
+    oracle = fifosim.verify.offline_opt_bruteforce
+
+    def one_more(trace, B, C=1):
+        opt = oracle(trace, B, C)
+        return replace(opt, throughput=opt.throughput + 1)
+
+    monkeypatch.setattr(fifosim.verify, "offline_opt_bruteforce", one_more)
+    assert main(["verify", "--suite", "micro", "--count", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL micro oracle suite (6 instances)")
+    assert len(lines) == 7 and lines[-1] == "0/1 checks passed"
+    assert all(line.startswith("    instance ") and "mask replay" in line for line in lines[1:6])
+
+
 def test_verify_constructions_exit_zero(capsys):
     assert main(["verify", "--suite", "constructions"]) == 0
     assert "14/14 checks passed" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Sweep harness: canonical ordering, determinism, CSV and plot emission."""
 
+from dataclasses import replace
+
 import pytest
 
 from fifosim import (
@@ -150,54 +152,63 @@ def test_seed_derivation_stable_and_policy_free():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(param="q", values=(1,)).validate()
-    with pytest.raises(ValueError):
-        SweepConfig(param="k", values=()).validate()
-    with pytest.raises(ValueError):
-        SweepConfig(param="k", values=(1,), policies=("nope",)).validate()
-    with pytest.raises(ValueError):
-        SweepConfig(param="k", values=(1,), runs=0).validate()
     # every point needs k, B and C >= 1, each swept value and each policy id
     # may appear once, the policy list must not be empty, the master seed must
     # be >= 0, and the ON-OFF settings are checked before any cell runs
     for bad in (
-        SweepConfig(param="k", values=(1,), B=0),
-        SweepConfig(param="k", values=(1,), C=0),
-        SweepConfig(param="k", values=(0, 1, 2, 3)),
-        SweepConfig(param="C", values=(0, 1, 2)),
-        SweepConfig(param="B", values=(0, 5)),
-        SweepConfig(param="B", values=(12, 3, 7, 3)),
-        SweepConfig(param="k", values=(1,), policies=("npo", "npo")),
-        SweepConfig(param="k", values=(1,), policies=()),
-        SweepConfig(param="k", values=(1,), master_seed=-1),
-        SweepConfig(param="C", values=(1, 2), on_count_min=5, on_count_max=2, workers=2),
-        SweepConfig(param="k", values=(1,), lambda_off=float("nan")),
-        SweepConfig(param="k", values=(1,), lambda_off="x"),
+        dict(param="q", values=(1,)),
+        dict(param="k", values=()),
+        dict(param="k", values=(1,), policies=("nope",)),
+        dict(param="k", values=(1,), runs=0),
+        dict(param="k", values=(1,), B=0),
+        dict(param="k", values=(1,), C=0),
+        dict(param="k", values=(0, 1, 2, 3)),
+        dict(param="C", values=(0, 1, 2)),
+        dict(param="B", values=(0, 5)),
+        dict(param="B", values=(12, 3, 7, 3)),
+        dict(param="k", values=(1,), policies=("npo", "npo")),
+        dict(param="k", values=(1,), policies=()),
+        dict(param="k", values=(1,), master_seed=-1),
+        dict(param="C", values=(1, 2), on_count_min=5, on_count_max=2, workers=2),
+        dict(param="k", values=(1,), lambda_off=float("nan")),
+        dict(param="k", values=(1,), lambda_off="x"),
     ):
         with pytest.raises(ValueError):
-            bad.validate()
+            SweepConfig(**bad)
+    # a config made from a valid one is checked as it is built
+    with pytest.raises(ValueError):
+        replace(SMALL, B=0)
 
 
 def test_non_integer_point_rejected():
-    # checked before any cell runs: C = 1.5 used to pass validate() and end
-    # in a TypeError inside the lazy loop
+    # refused when the config is built: C = 1.5 used to pass the check and
+    # end in a TypeError inside the lazy loop
     for bad in (
-        SweepConfig(param="C", values=(1.5, 2), slots=100, runs=1),
-        SweepConfig(param="B", values=(2.5,)),
-        SweepConfig(param="k", values=(2.0,)),
-        SweepConfig(param="k", values=(1,), B=True),
-        SweepConfig(param="k", values=(1,), slots=10.5, runs=1),
-        SweepConfig(param="k", values=(1,), slots=100, runs=1.5),
-        SweepConfig(param="k", values=(1,), slots=100, runs=1, master_seed=1.5),
-        SweepConfig(param="k", values=(1,), slots=100, runs=1, workers=1.5),
+        dict(param="C", values=(1.5, 2), slots=100, runs=1),
+        dict(param="B", values=(2.5,)),
+        dict(param="k", values=(2.0,)),
+        dict(param="k", values=(1,), B=True),
+        dict(param="k", values=(1,), slots=10.5, runs=1),
+        dict(param="k", values=(1,), slots=100, runs=1.5),
+        dict(param="k", values=(1,), slots=100, runs=1, master_seed=1.5),
+        dict(param="k", values=(1,), slots=100, runs=1, workers=1.5),
     ):
         with pytest.raises(ValueError, match="integer"):
-            bad.validate()
-        with pytest.raises(ValueError, match="integer"):
-            sweep(bad)
+            SweepConfig(**bad)
 
 
 def test_point_substitutes_swept_parameter():
     cfg = SweepConfig(param="B", values=(7,), k=3, B=99, C=2)
     assert cfg.point(7) == (3, 7, 2)
+
+
+def test_cells_without_arrivals_read_unit_ratio(tmp_path):
+    # no arrivals: every policy and the reference transmit 0, and 0/0 reads 1
+    config = SweepConfig(param="k", values=(1, 2), slots=5, runs=2, lambda_off=0.0, p_off_to_on=1e-9, workers=1)
+    path = tmp_path / "empty_cells.csv"
+    write_results_csv(sweep(config), path)
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    runs, aggs = lines[:16], lines[16:]
+    assert len(aggs) == 8
+    assert all(line.endswith(",0,0,1.000000") for line in runs)
+    assert all(line.endswith(",agg,0.000000,0.000000,1.000000") for line in aggs)

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from fifosim import Trace, TraceError, read_trace, run, validate_trace, write_trace
+from fifosim import MmppParams, Trace, TraceError, gen_mmpp, read_trace, run, validate_trace, write_trace
 
 from conftest import make_trace
 
@@ -57,6 +59,26 @@ def test_non_integer_value_is_one_fault_and_never_written(trace, tmp_path):
     assert len(errors) == 1 and "integer" in errors[0]
     path = tmp_path / "t.jsonl"
     with pytest.raises(TraceError, match="integer"):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
+def _with_metadata(trace, metadata):
+    trace.metadata = metadata
+    return trace
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [
+        gen_mmpp(MmppParams(k=3, lambda_off=Fraction(3, 10)), 50, 1),  # a valid trace: Fraction is a Real
+        _with_metadata(make_trace([(1, [1])]), {"params": {"x": {1, 2}}}),
+    ],
+)
+def test_header_json_cannot_hold_leaves_no_file(trace, tmp_path):
+    assert validate_trace(trace) == []
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TypeError, match="not JSON serializable"):
         write_trace(trace, path)
     assert not path.exists()
 

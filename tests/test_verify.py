@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -71,6 +72,51 @@ def test_micro_instances_are_pinned(monkeypatch):
     assert len(seen) == 2000
     digest = hashlib.sha256(json.dumps(seen).encode()).hexdigest()
     assert digest == "de86f5fb95bf58641598f30c99a45075a478656de747b73fe938960997015337"
+
+
+def _bump_oracle(monkeypatch, extra, seen=None):
+    """Make the micro suite's oracle claim ``extra`` packets more than it found."""
+    oracle = fifosim.verify.offline_opt_bruteforce
+
+    def bumped(trace, B, C=1):
+        if seen is not None:
+            seen.append(trace)
+        opt = oracle(trace, B, C)
+        return replace(opt, throughput=opt.throughput + extra)
+
+    monkeypatch.setattr(fifosim.verify, "offline_opt_bruteforce", bumped)
+
+
+def test_micro_suite_fails_when_the_mask_replay_disagrees(monkeypatch):
+    seen = []
+    _bump_oracle(monkeypatch, 1, seen)
+    rep = verify_micro(count=6)
+    assert not rep.passed
+    assert rep.measured["violations"] == 6
+    assert rep.measured["srpt_below_oracle"] == 6
+    assert len(rep.details) == 5
+    for index, detail in enumerate(rep.details):
+        assert detail.startswith(f"instance {index} ")
+        assert "mask replay" in detail
+        trace = json.loads(detail.split(" | trace=", 1)[1])
+        given = seen[index]
+        assert trace == {"k": given.k_declared, "slots": given.slots, "works": given.works}
+    # far above every policy, the oracle also breaks the log-form bound of lpo
+    _bump_oracle(monkeypatch, 100)
+    assert verify_micro(count=6).measured["ln_bound_misses"] == 6
+
+
+def test_construction_fails_when_the_reference_replay_disagrees(monkeypatch):
+    replay = fifosim.verify.replay_accept_mask
+
+    def one_short(*args, **kwargs):
+        result = replay(*args, **kwargs)
+        return replace(result, transmitted_count=result.transmitted_count - 1)
+
+    monkeypatch.setattr(fifosim.verify, "replay_accept_mask", one_short)
+    rep = verify_construction("KGEB", B=5, k=5, periods=2)
+    assert not rep.passed
+    assert rep.details == ["reference schedule replay got 15, claimed 16"]
 
 
 def test_micro_relations_on_fixed_instances():
