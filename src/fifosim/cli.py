@@ -207,10 +207,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, MemoryError) as exc:  # TraceError, UnknownPolicyError and ConstructionError too
+    # ValueError covers TraceError, UnknownPolicyError and ConstructionError
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

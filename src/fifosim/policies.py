@@ -164,13 +164,7 @@ class SrptPolicy(PoPolicy):
         return ids
 
 
-_REGISTRY = {
-    "npo": NpoPolicy,
-    "po": PoPolicy,
-    "lpo": LpoPolicy,
-    "lpo_p": LpoPPolicy,
-    "srpt": SrptPolicy,
-}
+_REGISTRY = {cls.name: cls for cls in (NpoPolicy, PoPolicy, LpoPolicy, LpoPPolicy, SrptPolicy)}
 POLICY_IDS = tuple(_REGISTRY)
 
 

@@ -49,6 +49,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.param not in SWEEPABLE:
             raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {self.param!r}")
+        for arg in ("values", "policies"):
+            if not isinstance(getattr(self, arg), tuple):
+                raise ValueError(f"{arg} must be a tuple, got {getattr(self, arg)!r}")
         if not self.values:
             raise ValueError("sweep needs a non-empty value range")
         for arg, least in (("slots", 1), ("runs", 1), ("master_seed", 0)):
@@ -56,7 +59,7 @@ class SweepConfig:
         if self.workers is not None:
             _check_int("workers", self.workers)
         for value in self.values:
-            for arg, x in zip(("k", "B", "C"), self.point(value)):
+            for arg, x in zip(SWEEPABLE, self.point(value)):
                 _check_int(arg, x)
         self.params(self.point(self.values[0])[0])  # raises on bad ON-OFF settings
         if len(set(self.values)) != len(self.values):
@@ -65,7 +68,7 @@ class SweepConfig:
             raise ValueError(f"sweep needs at least one policy, got policies={self.policies!r}")
         if len(set(self.policies)) != len(self.policies):
             raise ValueError(f"policy ids repeat in {self.policies}")
-        for pol in tuple(self.policies) + (self.reference,):
+        for pol in self.policies + (self.reference,):
             if pol not in POLICY_IDS:
                 raise ValueError(f"unknown policy id {pol!r}")
 
@@ -82,9 +85,7 @@ class SweepConfig:
 
     def point(self, value: int) -> tuple[int, int, int]:
         """(k, B, C) at one swept value."""
-        fixed = {"k": self.k, "B": self.B, "C": self.C}
-        fixed[self.param] = value
-        return fixed["k"], fixed["B"], fixed["C"]
+        return tuple(value if arg == self.param else getattr(self, arg) for arg in SWEEPABLE)
 
 
 @dataclass(frozen=True)

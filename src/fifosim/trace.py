@@ -68,6 +68,13 @@ def validate_trace(trace: Trace) -> list[str]:
     return errors
 
 
+def _header_fields(record: dict) -> dict:
+    """The header's fields after ``k``, in file order: ``record``'s generator,
+    params and seed, each defaulted when absent (a fresh ``{}`` for params)."""
+    return {"generator": record.get("generator", "unknown"), "params": record.get("params", {}),
+            "seed": record.get("seed", 0)}
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write the trace as JSON lines: one header record, then one packet per line.
     An invalid trace raises :class:`TraceError`, and a header JSON cannot hold
@@ -75,14 +82,7 @@ def write_trace(trace: Trace, path) -> None:
     errors = validate_trace(trace)
     if errors:
         raise TraceError("invalid trace: " + "; ".join(errors))
-    meta = trace.metadata
-    header = {
-        "k": trace.k_declared,
-        "generator": meta.get("generator", "unknown"),
-        "params": meta.get("params", {}),
-        "seed": meta.get("seed", 0),
-    }
-    line = json.dumps(header) + "\n"
+    line = json.dumps({"k": trace.k_declared, **_header_fields(trace.metadata)}) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(line)
         for slot, work in zip(trace.slots, trace.works):
@@ -126,16 +126,7 @@ def read_trace(path) -> Trace:
             raise TraceError(f"{path}: line {number}: packet record needs integer slot and work")
         slots.append(slot)
         works.append(work)
-    trace = Trace(
-        slots=slots,
-        works=works,
-        k_declared=header["k"],
-        metadata={
-            "generator": header.get("generator", "unknown"),
-            "params": header.get("params", {}),
-            "seed": header.get("seed", 0),
-        },
-    )
+    trace = Trace(slots=slots, works=works, k_declared=header["k"], metadata=_header_fields(header))
     errors = validate_trace(trace)
     if errors:
         raise TraceError(f"{path}: " + "; ".join(errors))

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,16 @@ def test_bounds_npo_k(capsys):
 def test_bounds_unknown_id_is_usage_error(capsys):
     assert main(["bounds", "--id", "WHAT"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_main():
+    # python -m fifosim, with src/ on the path as in a checkout
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    cmd = [sys.executable, "-m", "fifosim", "bounds", "--id"]
+    ok = subprocess.run(cmd + ["NPO_TIGHT_K", "--k", "3"], env=env, capture_output=True, text=True)
+    assert (ok.returncode, ok.stdout) == (0, "3\n")
+    assert subprocess.run(cmd + ["nope"], env=env, capture_output=True).returncode == 2
 
 
 def test_simulate_missing_file_names_path(capsys):
@@ -92,6 +106,20 @@ def test_gen_too_large_to_allocate_is_usage_error(tmp_path, capsys, monkeypatch)
     assert main(["gen", "--mmpp", "--slots", "1000", "--k", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 608. TiB for an array with shape (83560000000000,)\n"
     assert not out.exists()
+
+
+def test_integer_too_large_to_use_is_usage_error(tmp_path, capsys):
+    # both fail before allocating: tuple(range(...)) and the builder's [2] * B
+    huge = "99999999999999999999"
+    out = str(tmp_path / "x_")
+    for argv in (
+        ["sweep", "--param", "k", "--range", f"1:{huge}", "--slots", "50", "--runs", "1", "--out", out],
+        ["gen", "--construction", "PO_VS_LPO", "--buffer", huge, "--out", out + ".jsonl"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_gen_rejects_bad_construction_params(capsys):

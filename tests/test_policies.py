@@ -3,6 +3,7 @@
 import pytest
 
 from fifosim import ACCEPT, DROP, BufferState, Packet, UnknownPolicyError, make_policy, push_out
+from fifosim.policies import POLICY_IDS
 
 
 def state_of(residuals, capacity):
@@ -154,6 +155,12 @@ def test_srpt_admission_strictness():
 
 
 # --- registry ---
+
+def test_policy_ids_in_class_order():
+    # the CLI help and SweepConfig's checks list the ids in this order
+    assert POLICY_IDS == ("npo", "po", "lpo", "lpo_p", "srpt")
+    assert [make_policy(pid).name for pid in POLICY_IDS] == list(POLICY_IDS)
+
 
 def test_unknown_policy_id_raises():
     with pytest.raises(UnknownPolicyError):

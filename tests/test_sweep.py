@@ -175,6 +175,14 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
+    # a list could change after the checks, and a str would read as one id per letter
+    for arg, bad in (
+        ("values", dict(param="k", values=[1, 2], slots=100, runs=1, workers=1)),
+        ("policies", dict(param="k", values=(1,), policies=["npo", "po"])),
+        ("policies", dict(param="k", values=(1,), policies="npo")),
+    ):
+        with pytest.raises(ValueError, match=f"^{arg} must be a tuple"):
+            SweepConfig(**bad)
     # a config made from a valid one is checked as it is built
     with pytest.raises(ValueError):
         replace(SMALL, B=0)

@@ -112,10 +112,20 @@ def test_jsonl_round_trip(tmp_path):
 
 
 def test_jsonl_header_first_line(tmp_path):
+    # empty metadata: every header field after k takes its default, in file order
     path = tmp_path / "trace.jsonl"
     write_trace(make_trace([(1, [1])]), path)
     first = path.read_text().splitlines()[0]
-    assert '"k"' in first and '"generator"' in first and '"seed"' in first
+    assert first == '{"k": 1, "generator": "unknown", "params": {}, "seed": 0}'
+
+
+def test_read_defaults_missing_header_fields(tmp_path):
+    path = tmp_path / "bare.jsonl"
+    path.write_text('{"k": 3}\n{"slot": 1, "work": 2}\n')
+    first, second = read_trace(path), read_trace(path)
+    assert first.metadata == {"generator": "unknown", "params": {}, "seed": 0}
+    first.metadata["params"]["x"] = 1  # each read gets its own params dict
+    assert second.metadata["params"] == {}
 
 
 def test_read_rejects_headerless_file(tmp_path):
