@@ -238,7 +238,7 @@ def gen_adversarial(
     LOG_RECURSIVE's recursion depth and refused elsewhere.  All constructions
     except NPO_TIGHT were derived for a single core and refuse C != 1.
     """
-    name = construction.upper()
+    name = construction.upper() if isinstance(construction, str) else None
     if name not in _TABLE:
         raise ConstructionError(
             f"unknown construction {construction!r}; expected one of {', '.join(CONSTRUCTIONS)}"

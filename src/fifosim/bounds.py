@@ -45,7 +45,7 @@ BOUND_IDS = tuple(_FORMULAS)
 
 def bound_value(bound_id: str, k: int = 1, B: int = 1) -> float:
     """Evaluate one bound formula; see BOUND_IDS for the available ids."""
-    name = bound_id.upper()
+    name = bound_id.upper() if isinstance(bound_id, str) else None
     if name not in _FORMULAS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {', '.join(BOUND_IDS)}")
     _check_int("k", k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .adversarial import CONSTRUCTIONS, gen_adversarial
 from .bounds import BOUND_IDS, bound_value
@@ -33,6 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--buffer", type=int, required=True, help="buffer capacity B")
     sim.add_argument("--cores", type=int, default=1, help="processing cores C")
     sim.add_argument("--events", action="store_true", help="print the per-slot event log")
+    sim.set_defaults(handler=_cmd_simulate)
 
     gen = sub.add_parser("gen", help="generate a trace file")
     kind = gen.add_mutually_exclusive_group(required=True)
@@ -46,11 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--slots", type=int, help="slots to generate (mmpp)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--lambda-off", type=float, default=MmppParams.lambda_off)
-    gen.add_argument("--on-min", type=int, default=MmppParams.on_count_min)
-    gen.add_argument("--on-max", type=int, default=MmppParams.on_count_max)
-    gen.add_argument("--p-on-off", type=float, default=MmppParams.p_on_to_off)
-    gen.add_argument("--p-off-on", type=float, default=MmppParams.p_off_to_on)
+    # dest names the MmppParams field; metavar names the flag in --help
+    gen.add_argument("--on-min", type=int, default=MmppParams.on_count_min, dest="on_count_min", metavar="ON_MIN")
+    gen.add_argument("--on-max", type=int, default=MmppParams.on_count_max, dest="on_count_max", metavar="ON_MAX")
+    gen.add_argument("--p-on-off", type=float, default=MmppParams.p_on_to_off, dest="p_on_to_off", metavar="P_ON_OFF")
+    gen.add_argument("--p-off-on", type=float, default=MmppParams.p_off_to_on, dest="p_off_to_on", metavar="P_OFF_ON")
     gen.add_argument("--out", required=True, help="output trace path")
+    gen.set_defaults(handler=_cmd_gen)
 
     swp = sub.add_parser("sweep", help="parameter sweep with ratio aggregation")
     swp.add_argument("--param", required=True, choices=SWEEPABLE)
@@ -63,6 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--runs", type=int, default=SweepConfig.runs)
     swp.add_argument("--seed", type=int, default=SweepConfig.master_seed)
     swp.add_argument("--out", required=True, help="output path prefix")
+    swp.set_defaults(handler=_cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument(
@@ -73,11 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--count", type=int, default=200)
+    ver.set_defaults(handler=_cmd_verify)
 
     bnd = sub.add_parser("bounds", help="evaluate a closed-form bound")
     bnd.add_argument("--id", required=True, help=f"one of {', '.join(BOUND_IDS)}")
     bnd.add_argument("--k", type=int, default=1)
     bnd.add_argument("--buffer", type=int, default=1)
+    bnd.set_defaults(handler=_cmd_bounds)
 
     return parser
 
@@ -110,14 +117,7 @@ def _cmd_gen(args) -> int:
     if args.mmpp:
         if args.slots is None or args.k is None:
             raise ValueError("--mmpp needs --slots and --k")
-        params = MmppParams(
-            lambda_off=args.lambda_off,
-            on_count_min=args.on_min,
-            on_count_max=args.on_max,
-            p_on_to_off=args.p_on_off,
-            p_off_to_on=args.p_off_on,
-            k=args.k,
-        )
+        params = MmppParams(**{f.name: getattr(args, f.name) for f in fields(MmppParams)})
         trace = gen_mmpp(params, args.slots, args.seed)
     else:
         if args.buffer is None:
@@ -198,15 +198,8 @@ def _cmd_bounds(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "gen": _cmd_gen,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-        "bounds": _cmd_bounds,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     # ValueError covers TraceError, UnknownPolicyError and ConstructionError
     except (OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

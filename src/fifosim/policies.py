@@ -174,7 +174,7 @@ def make_policy(policy) -> Policy:
         return policy
     try:
         return _REGISTRY[policy]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise UnknownPolicyError(
             f"unknown policy id {policy!r}; expected one of {', '.join(POLICY_IDS)}"
         ) from None

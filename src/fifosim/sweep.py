@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 
 import numpy as np
@@ -66,22 +66,15 @@ class SweepConfig:
             raise ValueError(f"swept values repeat in {self.values}")
         if not self.policies:
             raise ValueError(f"sweep needs at least one policy, got policies={self.policies!r}")
-        if len(set(self.policies)) != len(self.policies):
-            raise ValueError(f"policy ids repeat in {self.policies}")
         for pol in self.policies + (self.reference,):
             if pol not in POLICY_IDS:
                 raise ValueError(f"unknown policy id {pol!r}")
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policy ids repeat in {self.policies}")
 
     def params(self, k: int) -> MmppParams:
         """The ON-OFF traffic parameters of every cell with work bound k."""
-        return MmppParams(
-            lambda_off=self.lambda_off,
-            on_count_min=self.on_count_min,
-            on_count_max=self.on_count_max,
-            p_on_to_off=self.p_on_to_off,
-            p_off_to_on=self.p_off_to_on,
-            k=k,
-        )
+        return MmppParams(k=k, **{f.name: getattr(self, f.name) for f in fields(MmppParams) if f.name != "k"})
 
     def point(self, value: int) -> tuple[int, int, int]:
         """(k, B, C) at one swept value."""

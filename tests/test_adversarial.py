@@ -146,8 +146,9 @@ def test_preconditions_rejected(name, kwargs):
 
 
 def test_unknown_construction_rejected():
-    with pytest.raises(ConstructionError):
-        gen_adversarial("NOPE", B=10)
+    for bad in ("NOPE", 5, None, ["KGEB"]):
+        with pytest.raises(ConstructionError, match="unknown construction"):
+            gen_adversarial(bad, B=10)
 
 
 def test_metadata_carries_claims():

@@ -50,8 +50,9 @@ def test_every_bound_is_positive():
 
 def test_case_insensitive_and_unknown():
     assert bound_value("lb_pushout_kgeb", B=10) == 1.8
-    with pytest.raises(ValueError):
-        bound_value("NOT_A_BOUND", k=1, B=1)
+    for bad in ("NOT_A_BOUND", 5, None, ["NPO_TIGHT_K"]):
+        with pytest.raises(ValueError, match="unknown bound id"):
+            bound_value(bad, k=1, B=1)
     with pytest.raises(ValueError):
         bound_value("NPO_TIGHT_K", k=0, B=1)
     with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from fifosim import MmppParams
 from fifosim.cli import main
 
 
@@ -86,6 +88,12 @@ def test_gen_mmpp(tmp_path, capsys):
     assert main(["gen", "--mmpp", "--slots", "500", "--k", "3", "--seed", "9", "--out", str(out)]) == 0
     header = json.loads(out.read_text().splitlines()[0])
     assert header["k"] == 3 and header["generator"] == "mmpp"
+    # each traffic flag reaches its own MmppParams field
+    traffic = ["--lambda-off", "0.5", "--on-min", "2", "--on-max", "4", "--p-on-off", "0.3", "--p-off-on", "0.1"]
+    assert main(["gen", "--mmpp", "--slots", "500", "--k", "3", *traffic, "--out", str(out)]) == 0
+    header = json.loads(out.read_text().splitlines()[0])
+    expected = MmppParams(lambda_off=0.5, on_count_min=2, on_count_max=4, p_on_to_off=0.3, p_off_to_on=0.1, k=3)
+    assert header["params"] == asdict(expected)
 
 
 def test_gen_unwritable_out_names_path(tmp_path, capsys):

@@ -83,9 +83,13 @@ def test_invalid_trace_rejected_before_slot_one():
 
 
 def test_unknown_policy_rejected():
-    for record_events in (False, True):
+    # an id of the wrong type, unhashable ones included, is as unknown as a misspelt one
+    for policy in ("optimal", ["po"], 5):
+        for record_events in (False, True):
+            with pytest.raises(UnknownPolicyError):
+                run(make_trace([(1, [1])]), policy, 2, 1, record_events=record_events)
         with pytest.raises(UnknownPolicyError):
-            run(make_trace([(1, [1])]), "optimal", 2, 1, record_events=record_events)
+            make_policy(policy)
 
 
 def test_every_registered_id_has_a_fast_loop():

@@ -75,6 +75,8 @@ def test_empty_trace():
         Trace(slots=[1], works=[2.5]),  # the slot and work must be ints
         Trace(slots=[1.5], works=[2]),
         Trace(slots=[1], works=[True]),
+        Trace(slots=None, works=None),  # the columns must be lists or tuples
+        Trace(slots=iter([1]), works=[1]),
     ],
 )
 def test_invalid_trace_is_refused(trace):

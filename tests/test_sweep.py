@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from fifosim import (
+    MmppParams,
     ResultTable,
     SweepConfig,
     SweepRow,
@@ -159,6 +160,8 @@ def test_config_validation():
         dict(param="q", values=(1,)),
         dict(param="k", values=()),
         dict(param="k", values=(1,), policies=("nope",)),
+        dict(param="k", values=(1,), policies=(["po"],)),  # an unhashable id
+        dict(param="k", values=(1,), reference=["srpt"]),
         dict(param="k", values=(1,), runs=0),
         dict(param="k", values=(1,), B=0),
         dict(param="k", values=(1,), C=0),
@@ -208,6 +211,12 @@ def test_non_integer_point_rejected():
 def test_point_substitutes_swept_parameter():
     cfg = SweepConfig(param="B", values=(7,), k=3, B=99, C=2)
     assert cfg.point(7) == (3, 7, 2)
+
+
+def test_params_carry_the_traffic_settings():
+    cfg = SweepConfig(param="k", values=(7,), lambda_off=0.5, on_count_min=2, on_count_max=4,
+                      p_on_to_off=0.3, p_off_to_on=0.1)
+    assert cfg.params(7) == MmppParams(0.5, 2, 4, 0.3, 0.1, 7)
 
 
 def test_cells_without_arrivals_read_unit_ratio(tmp_path):

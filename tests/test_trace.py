@@ -83,6 +83,28 @@ def test_header_json_cannot_hold_leaves_no_file(trace, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "trace",
+    [Trace(slots=None, works=None), Trace(slots=iter([1]), works=[1]), Trace(slots=5, works=5)],
+)
+def test_column_that_is_not_a_list_or_tuple_is_one_fault(trace, tmp_path):
+    errors = validate_trace(trace)
+    assert len(errors) == 1 and "lists or tuples" in errors[0]
+    with pytest.raises(TraceError, match="lists or tuples"):
+        run(trace, "po", 2, 1)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceError, match="lists or tuples"):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
+def test_tuple_columns_are_accepted():
+    trace = Trace(slots=(1, 1, 2), works=(2, 1, 1), k_declared=2)
+    assert validate_trace(trace) == []
+    as_lists = Trace(slots=[1, 1, 2], works=[2, 1, 1], k_declared=2)
+    assert run(trace, "po", 2, 1) == run(as_lists, "po", 2, 1)
+
+
 def test_unequal_column_lengths_rejected():
     trace = Trace(slots=[1, 2], works=[1], k_declared=1)
     assert any("equal length" in e for e in validate_trace(trace))
