@@ -13,21 +13,23 @@ lazy loop for lpo and lpo_p.  srpt's counts depend only on the multiset of
 residuals, so its fast loop is po on a queue kept in ascending order, where
 the FIFO head is the C smallest residuals.
 
-At C = 1 the eager loop steps from arrival to arrival, not slot to slot: the
-head is in service and leaves at the end of slot ``dep``, so the packets
-behind it leave at ``dep`` plus their works, and the head's residual in slot
-``s``, ``dep - s + 1``, is computed only for a push-out or an srpt preemption.
-The lazy loop keeps only the residuals above one in its queue and counts the
-one-cycle packets, ``ones`` unmarked and ``m`` marked: fill never selects
-one, no push-out evicts one (a victim's residual exceeds the arrival's work,
-which is at least 1), and drain treats them all alike.  lpo_p spares
-``q[:p]``, the ``p`` packets of the last fill still above one cycle.  Both
-loops keep a bound ``top >= max(q)``, raised only by an admission, so an
-arrival at or above it is dropped without a scan.  Every admitted packet
-leaves or is pushed out, so a loop counts transmissions as admitted minus
-pushed out.  Both loops and the general path walk the trace's packet-aligned
-``slots``/``works`` columns directly; the general path numbers packet ``i``
-of the trace as id ``i + 1``.  Both paths produce identical counts.
+Both fast loops step by one rule: before the first offer in slot ``s`` they
+process the slots up to ``s - 1`` while the buffer holds anything, and a
+sentinel arrival in slot infinity drains it.  A window of one packet,
+``min(C, len(q)) == 1`` and so every window at C = 1, runs to that packet's
+end or to slot ``s`` in one step, and so does a lazy drain; a wider window
+takes a step per slot.  The lazy loop keeps only the residuals above one in
+its queue and counts the one-cycle packets, ``ones`` unmarked and ``m``
+marked: fill never selects one, no push-out evicts one (a victim's residual
+exceeds the arrival's work, which is at least 1), and drain treats them all
+alike.  lpo_p spares ``q[:p]``, the ``p`` packets of the last fill still
+above one cycle.  Both loops keep a bound ``top >= max(q)``, raised only by
+an admission, so an arrival at or above it is dropped without a scan.  Every
+admitted packet leaves or is pushed out, so a loop counts transmissions as
+admitted minus pushed out.  Both loops and the general path walk the trace's
+packet-aligned ``slots``/``works`` columns directly; the general path numbers
+packet ``i`` of the trace as id ``i + 1``.  Both paths produce identical
+counts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 from .policies import ACCEPT, DROP, AdmissionDecision, BufferState, Packet, make_policy
 from .trace import Trace, TraceError, _check_int, validate_trace
@@ -214,15 +217,21 @@ def _run_general(trace, policy, buffer_size, cores, record_events):
 
 # ---------------------------------------------------------------------------
 # Fast loops: counters only, no Packet objects.  The queue is a plain list of
-# residuals (head at index 0), less the head in service at C = 1 (its end is
-# dep) and, in the lazy loop, less the one-cycle packets (counted in ones and
-# m).  Admission order equals list order because arrivals append at the
-# tail, except on srpt's ascending queue, where order does not matter to the
-# counts.  Only an admission raises a residual, so top >= max(q) holds with
-# no invalidation; a full-buffer arrival below top recomputes it exactly.
-# Per-slot work is an explicit loop over the queue in place, never a
-# comprehension: before Python 3.12 (PEP 709) each one runs in a function
-# frame of its own, which costs more than a short loop.
+# residuals (head at index 0), less, in the lazy loop, the one-cycle packets
+# (counted in ones and m).  Admission order equals list order because
+# arrivals append at the tail, except on srpt's ascending queue, where order
+# does not matter to the counts.  Only an admission raises a residual, so
+# top >= max(q) holds with no invalidation; a full-buffer arrival below top
+# recomputes it exactly.  t is the next slot to process; once the _DRAIN
+# sentinel (s = _END, never a trace's slot) finds the buffer empty, the last
+# slot processed is t - 1, or 0 for an empty trace.  A step's tests read
+# r > s - t, never r + t - s, which is nan at s = inf.  Per-slot work is an
+# explicit loop over the queue in place, never a comprehension: before
+# Python 3.12 (PEP 709) each one runs in a function frame of its own, which
+# costs more than a short loop.
+
+_END = float("inf")
+_DRAIN = ((_END, 0),)
 
 
 def _fast_eager(slots, works, B, C, pushout, ordered):
@@ -231,89 +240,57 @@ def _fast_eager(slots, works, B, C, pushout, ordered):
     q: list[int] = []
     place = partial(insort, q) if ordered else q.append
     admitted = dropped = pushed = top = 0
-    if C == 1:
-        # One step per arrival.  The head is in service and leaves at the end
-        # of slot dep, so its residual in slot s is dep - s + 1; q holds the
-        # works waiting behind it, none below that residual on srpt's queue.
-        dep = 0
-        for s, w in zip(slots, works):
-            while dep < s and q:
-                dep += q.pop(0)  # the next packet starts the slot after dep
-            if dep >= s and len(q) >= B - 1:
-                if not pushout or w >= top:
-                    dropped += 1
-                    continue
-                r = dep - s + 1
-                mx = (q[-1] if ordered else max(q)) if q else 0
-                top = r if r > mx else mx
-                if w >= top:
-                    dropped += 1
-                    continue
-                pushed += 1
-                if r < mx:
-                    if ordered:
-                        q.pop()
+    t = 1
+    for s, w in chain(zip(slots, works), _DRAIN):
+        while t < s:
+            if q:
+                h = C if C < len(q) else len(q)
+                if h == 1:
+                    r = q[0]
+                    if r > s - t:
+                        q[0] = r - (s - t)
+                        t = s
                     else:
-                        q.remove(mx)
-                else:  # the head is the first maximum: the next packet starts in slot s
-                    dep = s - 1 + q.pop(0) if q else s - 1
-            if dep < s:
-                dep = s + w - 1
-            elif ordered and w <= dep - s:  # below the head's residual: w takes the head
-                q.insert(0, dep - s + 1)
-                dep = s + w - 1
+                        del q[0]
+                        t += r
+                else:
+                    # the first h packets lose a cycle, in place; a finished
+                    # packet leaves at once, the next one slides into position
+                    # j, and h shrinks so the window still ends where it
+                    # began.  Decrementing srpt's head keeps its queue sorted.
+                    j = 0
+                    while j < h:
+                        r = q[j] - 1
+                        if r:
+                            q[j] = r
+                            j += 1
+                        else:
+                            del q[j]
+                            h -= 1
+                    t += 1
+            elif s < _END:
+                t = s
             else:
-                place(w)
+                return t - 1, admitted - pushed, dropped, pushed, admitted
+        if len(q) < B:
+            place(w)
             admitted += 1
             if w > top:
                 top = w
-        return dep + sum(q), admitted - pushed, dropped, pushed, admitted
-    n = len(slots)
-    i = t = 0
-    while True:
-        if q:
-            t += 1
-        elif i < n:
-            t = slots[i]
-        else:
-            break
-        while i < n and slots[i] == t:
-            if len(q) < B:
-                w = works[i]
+        elif pushout and w < top:
+            top = mx = q[-1] if ordered else max(q)
+            if w < mx:
+                if ordered:
+                    q.pop()
+                else:
+                    q.remove(mx)
                 place(w)
                 admitted += 1
-                if w > top:
-                    top = w
-            elif pushout and (w := works[i]) < top:
-                top = mx = q[-1] if ordered else max(q)
-                if w < mx:
-                    if ordered:
-                        q.pop()
-                    else:
-                        q.remove(mx)
-                    place(w)
-                    admitted += 1
-                    pushed += 1
-                else:
-                    dropped += 1
+                pushed += 1
             else:
                 dropped += 1
-            i += 1
-        # the first min(C, occupancy) packets lose a cycle, in place; a finished
-        # packet leaves at once, the next one slides into position j, and h
-        # shrinks so the window still ends where it began.  Decrementing srpt's
-        # head keeps its queue sorted.
-        h = C if C < len(q) else len(q)
-        j = 0
-        while j < h:
-            r = q[j] - 1
-            if r:
-                q[j] = r
-                j += 1
-            else:
-                del q[j]
-                h -= 1
-    return t, admitted - pushed, dropped, pushed, admitted
+        else:
+            dropped += 1
 
 
 def _fast_lazy(slots, works, B, C, spare):
@@ -324,62 +301,75 @@ def _fast_lazy(slots, works, B, C, spare):
     # arrivals join the tail and victims (residual > w >= 1) lie in q[p:].
     q: list[int] = []
     ones = m = p = 0
-    n = len(slots)
-    i = 0
-    admitted = dropped = pushed = 0
-    t = top = 0
-    while True:
-        if q or ones or m:
-            t += 1
-        elif i < n:
-            t = slots[i]
-        else:
-            break
-        while i < n and slots[i] == t:
-            w = works[i]
-            i += 1
-            if len(q) + ones + m >= B:
-                if not q or w >= top or w >= (top := max(q)):
+    admitted = dropped = pushed = top = 0
+    t = 1
+    for s, w in chain(zip(slots, works), _DRAIN):
+        while t < s:
+            if m:
+                d = -(-m // C)  # drain slots left
+                if d <= s - t:
+                    t += d
+                    m = 0
+                else:
+                    m -= C * (s - t)
+                    t = s
+            elif q:
+                # fill: the first min(C, len(q)) residuals lose a cycle, and
+                # one that reaches one cycle leaves q for ones
+                h = C if C < len(q) else len(q)
+                if h == 1:
+                    r = q[0]
+                    if r - 1 <= s - t:
+                        t += r - 1
+                        del q[0]
+                        ones += 1
+                        p = 0
+                    else:
+                        q[0] = r - (s - t)
+                        t = s
+                        if spare:
+                            p = 1
+                else:
+                    j = 0
+                    while j < h:
+                        r = q[j] - 1
+                        if r > 1:
+                            q[j] = r
+                            j += 1
+                        else:
+                            del q[j]
+                            h -= 1
+                            ones += 1
+                    if spare:
+                        p = h
+                    t += 1
+            elif ones:
+                m = ones  # everything at one cycle: mark all, drain
+                ones = 0
+            elif s < _END:
+                t = s
+            else:
+                return t - 1, admitted - pushed, dropped, pushed, admitted
+        if len(q) + ones + m >= B:
+            if not q or w >= top or w >= (top := max(q)):
+                dropped += 1
+                continue
+            v = q.index(top)
+            if v < p:
+                mx = max(q[p:], default=0)  # the first maximum is spared
+                if w >= mx:
                     dropped += 1
                     continue
-                v = q.index(top)
-                if v < p:
-                    mx = max(q[p:], default=0)  # the first maximum is spared
-                    if w >= mx:
-                        dropped += 1
-                        continue
-                    v = q.index(mx, p)
-                del q[v]
-                pushed += 1
-            admitted += 1
-            if w > 1:
-                q.append(w)
-                if w > top:
-                    top = w
-            else:
-                ones += 1
-        if m == 0:
-            if q:
-                # fill: the first min(C, len(q)) residuals lose a cycle in place,
-                # and one that reaches one cycle leaves q for ones
-                h = C if C < len(q) else len(q)
-                j = 0
-                while j < h:
-                    r = q[j] - 1
-                    if r > 1:
-                        q[j] = r
-                        j += 1
-                    else:
-                        del q[j]
-                        h -= 1
-                        ones += 1
-                if spare:
-                    p = h
-                continue
-            m = ones  # everything at one cycle: mark all, drain
-            ones = 0
-        m -= C if C < m else m
-    return t, admitted - pushed, dropped, pushed, admitted
+                v = q.index(mx, p)
+            del q[v]
+            pushed += 1
+        admitted += 1
+        if w > 1:
+            q.append(w)
+            if w > top:
+                top = w
+        else:
+            ones += 1
 
 
 _FAST_LOOPS = {

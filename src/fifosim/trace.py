@@ -41,15 +41,17 @@ def _check_int(name: str, value, least: int = 1, error=ValueError) -> None:
 def validate_trace(trace: Trace) -> list[str]:
     """Return every format violation; an empty list means the trace is usable.
 
-    Checks: declared k an ``int`` >= 0, both columns a ``list`` or ``tuple`` of
-    equal length, ``int`` slots >= 1 and non-decreasing, ``int`` works >= 1 and
-    within a declared k.  Never raises.
+    Checks: declared k an ``int`` >= 0, metadata a ``dict``, both columns a
+    ``list`` or ``tuple`` of equal length, ``int`` slots >= 1 and
+    non-decreasing, ``int`` works >= 1 and within a declared k.  Never raises.
     """
     errors: list[str] = []
     k = trace.k_declared
     if type(k) is not int or k < 0:
         errors.append(f"declared k must be an integer >= 0, got {k!r}")
         k = 0
+    if not isinstance(trace.metadata, dict):
+        errors.append(f"metadata must be a dict, got {type(trace.metadata).__name__}")
     if not (isinstance(trace.slots, (list, tuple)) and isinstance(trace.works, (list, tuple))):
         kinds = f"{type(trace.slots).__name__} and {type(trace.works).__name__}"
         return errors + [f"slots and works must be lists or tuples, got {kinds}"]

@@ -25,10 +25,21 @@ from fifosim.policies import POLICY_IDS, AdmissionDecision
 from conftest import make_trace, replay_event_log
 
 
-def test_empty_trace_transmits_nothing():
-    result = run(make_trace([]), "npo", 4, 1)
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("pol", POLICY_IDS)
+def test_empty_trace_transmits_nothing(pol, C):
+    result = run(make_trace([]), pol, 4, C)
     assert result.transmitted_count == 0
     assert result.final_slot == 0
+
+
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("pol", POLICY_IDS)
+@pytest.mark.parametrize("slot, work", [(1, 1), (1, 4), (7, 1), (7, 4)])
+def test_one_packet_leaves_in_its_last_cycle(pol, C, slot, work):
+    trace = make_trace([(slot, [work])])
+    for result in (run(trace, pol, 4, C), run(trace, make_policy(pol), 4, C)):
+        assert counters(result) == (1, 0, 0, 1, slot + work - 1)
 
 
 def test_single_packet_same_slot_completion():
@@ -122,8 +133,8 @@ _THREE = make_trace([(1, [1, 2, 3])])
 )
 def test_non_integer_dimensions_rejected(B, C, trace):
     # C = 2.5 used to run as 3 cores and B = 2.5 as a buffer of 3 on the fast
-    # path, while the general path raised TypeError; C = 1.0 would take the
-    # one-core loop; a work of 2.5 gave npo's fast loop final_slot=2.5
+    # path, while the general path raised TypeError; C = 1.0 would run as
+    # one core; a work of 2.5 gave npo's fast loop final_slot=2.5
     for policy in ("npo", make_policy("npo")):
         with pytest.raises(ValueError, match="integer"):
             run(trace, policy, B, C)
@@ -194,8 +205,8 @@ def test_fast_and_general_paths_agree_at_sweep_scale():
 
 
 def test_fast_and_general_paths_agree_on_one_core(rng):
-    # every k-sweep cell runs at C = 1, which has loops of its own; the test
-    # above draws C from 1..10, so only about a tenth of its traces reach them
+    # every k-sweep cell runs at C = 1, where every window is one packet; the
+    # test above draws C from 1..10, so only about a tenth of its traces do
     from conftest import random_trace
 
     for B in [1, 40] + [int(rng.integers(1, 41)) for _ in range(198)]:
@@ -224,6 +235,84 @@ def test_fast_srpt_agrees_with_general_on_ties(rng):
             fast = run(trace, pol, B, C)
             slow = run(trace, make_policy(pol), B, C)
             assert counters(fast) == counters(slow), (pol, B, C, slots, works)
+
+
+def test_fast_and_general_paths_agree_on_sparse_traces(rng):
+    # arrivals over up to 2000 slots leave gaps longer than a packet's work,
+    # so the fast loops run a one-packet window or a drain past many slots
+    # in one step, which dense traces seldom do
+    for _ in range(200):
+        B = int(rng.choice([1, 2, 10, 40]))
+        C = int(rng.choice([1, 2, 3, 10]))
+        n = int(rng.integers(0, 41))
+        slots = sorted(int(s) for s in rng.integers(1, int(rng.integers(1, 2001)) + 1, n))
+        works = [int(w) for w in rng.integers(1, 41, n)]
+        trace = Trace(slots=slots, works=works, k_declared=40)
+        for pol in POLICY_IDS:
+            fast = run(trace, pol, B, C)
+            slow = run(trace, make_policy(pol), B, C)
+            assert counters(fast) == counters(slow), (pol, B, C, slots, works)
+
+
+@pytest.mark.parametrize("C", [1, 3])
+@pytest.mark.parametrize("pol", POLICY_IDS)
+@pytest.mark.parametrize(
+    "work, expected",
+    [
+        # B = 1: the 3 from slot 1 leaves at the end of slot 3, just before the
+        # next arrival, which is admitted; the 4 is still in the buffer in slot
+        # 4 with one cycle left, and no policy admits the arriving 1
+        (3, (2, 0, 0, 2, 4)),
+        (4, (1, 1, 0, 1, 4)),
+    ],
+)
+def test_one_packet_window_ends_before_or_in_the_next_arrival_slot(pol, C, work, expected):
+    trace = make_trace([(1, [work]), (4, [1])])
+    for result in (run(trace, pol, 1, C), run(trace, make_policy(pol), 1, C)):
+        assert counters(result) == expected
+
+
+@pytest.mark.parametrize("pol", ["lpo", "lpo_p"])
+@pytest.mark.parametrize(
+    "events, expected",
+    [
+        # B = 3, C = 2: the three marked 1s drain in slots 1 and 2, so the
+        # buffer is empty when four more arrive in slot 3, and one is dropped
+        ([(1, [1, 1, 1]), (3, [1, 1, 1, 1])], (6, 1, 0, 6, 4)),
+        # arriving in slot 2, they find the last marked 1 still there
+        ([(1, [1, 1, 1]), (2, [1, 1, 1, 1])], (5, 2, 0, 5, 3)),
+        # the fill grinds the lone 2 to one cycle in slot 1, so in slot 2 both
+        # cores take the 5 and the 6; a lone 3 is still above one cycle in
+        # slot 2 and keeps a core, so the 6 waits
+        ([(1, [2]), (2, [5, 6])], (3, 0, 0, 3, 8)),
+        ([(1, [3]), (2, [5, 6])], (3, 0, 0, 3, 9)),
+    ],
+)
+def test_lpo_step_ends_before_or_in_the_next_arrival_slot(pol, events, expected):
+    trace = make_trace(events)
+    for result in (run(trace, pol, 3, 2), run(trace, make_policy(pol), 3, 2)):
+        assert counters(result) == expected
+
+
+@pytest.mark.parametrize("pol", POLICY_IDS)
+def test_single_packet_on_three_cores_gains_a_second_in_service(pol):
+    # the 5 is alone in slots 1 and 2; the 2 arriving in slot 3 widens the
+    # window to two packets, and the 5's residual 3 then takes slots 3 to 5
+    trace = make_trace([(1, [5]), (3, [2])])
+    for result in (run(trace, pol, 5, 3), run(trace, make_policy(pol), 5, 3)):
+        assert counters(result) == (2, 0, 0, 2, 5)
+
+
+def test_srpt_preempts_a_head_served_across_a_gap():
+    # C = 1: the 10 is served alone in slots 1 to 5, so its residual is 5 when
+    # the 2 arrives in slot 6 and takes the head; the 10 resumes in slot 8
+    trace = make_trace([(1, [10]), (6, [2])])
+    slow = run(trace, "srpt", 2, 1, record_events=True)
+    assert [ev.processed for ev in slow.events] == [[1]] * 5 + [[2]] * 2 + [[1]] * 5
+    assert counters(run(trace, "srpt", 2, 1)) == counters(slow) == (2, 0, 0, 2, 12)
+    # B = 1: the 2 pushes out the residual 5 instead
+    for result in (run(trace, "srpt", 1, 1), run(trace, make_policy("srpt"), 1, 1)):
+        assert counters(result) == (1, 0, 1, 2, 7)
 
 
 def test_pushout_below_a_stale_maximum_recomputes_then_drops():

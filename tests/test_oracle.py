@@ -77,6 +77,7 @@ def test_empty_trace():
         Trace(slots=[1], works=[True]),
         Trace(slots=None, works=None),  # the columns must be lists or tuples
         Trace(slots=iter([1]), works=[1]),
+        Trace(slots=[1], works=[1], metadata=None),  # the metadata must be a dict
     ],
 )
 def test_invalid_trace_is_refused(trace):

@@ -98,6 +98,19 @@ def test_column_that_is_not_a_list_or_tuple_is_one_fault(trace, tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("metadata", [None, 5])
+def test_metadata_that_is_not_a_dict_is_one_fault(metadata, tmp_path):
+    trace = _with_metadata(make_trace([(1, [1])]), metadata)
+    errors = validate_trace(trace)
+    assert len(errors) == 1 and "metadata must be a dict" in errors[0]
+    with pytest.raises(TraceError, match="metadata must be a dict"):
+        run(trace, "po", 2, 1)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceError, match="metadata must be a dict"):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
 def test_tuple_columns_are_accepted():
     trace = Trace(slots=(1, 1, 2), works=(2, 1, 1), k_declared=2)
     assert validate_trace(trace) == []
